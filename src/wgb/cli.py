@@ -99,7 +99,9 @@ def cmd_gb(args):
         expected = None
         if args.hilbert_driven:
             expected = expand_rational(sys.degrees, sys.ring.weights)
-            if not expected.polynomial:
+            # an overdetermined series can be a polynomial with negative
+            # coefficients; a square one may have inner zeros, kept as they are
+            if sys.m > sys.n or not expected.polynomial:
                 expected = truncate_semiregular(expected)
         gb = matrix_gb_whomog(sys.with_order(order), expected_series=expected)
     elif args.engine == "homw":

@@ -19,6 +19,7 @@ from .bounds import macaulay_weak
 from .errors import (
     BudgetExceededError,
     IncompleteBasisError,
+    NotInImageError,
     NotWHomogeneousError,
 )
 from .monomial import (
@@ -97,30 +98,42 @@ class GroebnerBasis:
 
 
 def _interreduce(ring, polys):
-    """Fixpoint interreduction: monic, minimal leading terms, reduced tails.
+    """Interreduction: monic, minimal leading terms, reduced tails.
 
-    Accepts any generating set; on a Groebner basis this produces the
-    unique reduced basis.
+    One pass in increasing leading-monomial order: each element is reduced
+    once against the already reduced elements below it, since a larger
+    leading monomial cannot divide a term below an element's own.  An
+    element whose leading monomial drops (the input is not a Groebner
+    basis) is kept at its new place and the reduced elements above it go
+    back on the heap.  An element sharing its leading monomial with the
+    next one on the heap is also reduced by that one, so that the later of
+    the two stays, as when each element is reduced by all others.  Accepts
+    any generating set; on a Groebner basis this produces the unique
+    reduced basis with one reduction per element.
     """
-    sort_key = lambda f: (ring.order.key(f.lm), f.terms)
-    work = [f.monic() for f in polys if f]
-    changed = True
-    while changed:
-        changed = False
-        work.sort(key=sort_key)
-        for i in range(len(work)):
-            h = reduce_poly(work[i], work[:i] + work[i + 1 :])
-            if h.is_zero:
-                work.pop(i)
-                changed = True
-                break
-            h = h.monic()
-            if h.terms != work[i].terms:
-                work[i] = h
-                changed = True
-                break
-    work.sort(key=sort_key)
-    return work
+    key = ring.order.key
+    heap = []
+    for i, f in enumerate(polys):
+        if f:
+            f = f.monic()
+            heap.append((key(f.lm), f.terms, i, f))
+    heapq.heapify(heap)
+    done = []  # reduced elements, increasing leading monomial
+    tag = len(polys)  # tie-break for the elements pushed back
+    while heap:
+        k, _, _, f = heapq.heappop(heap)
+        h = reduce_poly(f, done + [heap[0][3]] if heap and heap[0][0] == k else done)
+        if h.is_zero:
+            continue
+        h = h.monic()
+        if h.lm != f.lm:
+            k = key(h.lm)
+            while done and key(done[-1].lm) > k:
+                g = done.pop()
+                heapq.heappush(heap, (key(g.lm), g.terms, tag, g))
+                tag += 1
+        done.append(h)
+    return done
 
 
 def reduce_basis(gb):
@@ -418,7 +431,7 @@ def gb_via_homw(sys):
     for g in gb_img.polys:
         try:
             pulled.append(hom_w_inverse(g, ws))
-        except Exception as exc:  # cannot happen for weighted homogeneous input
+        except NotInImageError as exc:  # cannot happen for weighted homogeneous input
             raise RuntimeError(
                 f"engine inconsistency: image basis element {g} not in the "
                 f"substitution image: {exc}"

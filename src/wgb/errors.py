@@ -25,6 +25,10 @@ class PositiveDimensionError(ValueError):
     """A zero-dimensional ideal was required."""
 
 
+class StaircaseTooLargeError(ValueError):
+    """A staircase too large for the exact FGLM matrix-vector products."""
+
+
 class ArityError(ValueError):
     """Wrong number of degrees/weights for the requested operation."""
 

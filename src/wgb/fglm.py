@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositiveDimensionError
+from .errors import PositiveDimensionError, StaircaseTooLargeError
 from .monomial import mono_divides, mono_mul
 from .order import MonomialOrder
 from .poly import reduce_poly
@@ -47,6 +47,18 @@ def staircase(gb):
     out = [m for m in box if not any(mono_divides(g, m) for g in lts)]
     out.sort(key=ring.order.key)
     return out
+
+
+# the mat-vec products split each vector into 16-bit halves; with entries
+# below p < 2^31 a row sum stays below 2^63 while the staircase is smaller
+MAX_STAIRCASE = 1 << 16
+
+
+def _matvec_mod(M, v, p):
+    """M @ v mod p, exact in int64 for every supported p and len(v) < 2^16."""
+    hi = (M @ (v >> 16)) % p
+    lo = (M @ (v & 0xFFFF)) % p
+    return (hi * (1 << 16) + lo) % p
 
 
 @dataclass
@@ -88,6 +100,11 @@ def fglm_lex(gb, return_stats=False):
     lex = MonomialOrder.lex(ring.weights)
     target = ring.with_order(lex)
     stats = FglmStats(degree=D)
+    if D >= MAX_STAIRCASE:
+        raise StaircaseTooLargeError(
+            f"staircase of {D} monomials; the exact mat-vec products need fewer "
+            f"than {MAX_STAIRCASE}"
+        )
 
     if D == 0:
         out = GroebnerBasis(target, (target.one(),), True, GBStats(engine="fglm"))
@@ -114,7 +131,7 @@ def fglm_lex(gb, return_stats=False):
                 j = accepted_index.get(parent)
                 if j is not None:
                     stats.field_ops += D * D
-                    return (mats[v] @ vectors[j]) % p
+                    return _matvec_mod(mats[v], vectors[j], p)
         raise RuntimeError("candidate without accepted parent")
 
     unit = (0,) * n

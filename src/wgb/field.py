@@ -1,8 +1,11 @@
-"""Arithmetic over a prime field GF(p), p a machine-word prime."""
+"""Arithmetic over a prime field GF(p), p a prime below 2^31."""
 
 from .errors import FieldMismatchError
 
 DEFAULT_MODULUS = 65521
+# every product of two residues fits in int64 with room for one addition,
+# which the numpy eliminations of the matrix engine and FGLM rely on
+MODULUS_BOUND = 2**31
 
 
 def _is_prime(p):
@@ -24,6 +27,8 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p=DEFAULT_MODULUS):
+        if p >= MODULUS_BOUND:
+            raise ValueError(f"modulus {p} is not below the supported bound 2^31")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -347,6 +347,11 @@ class PolySystem:
             raise ArityError(
                 f"{len(self.degrees)} degrees for {len(self.polys)} polynomials"
             )
+        for i, (f, d) in enumerate(zip(self.polys, self.degrees)):
+            if f and f.wdeg() != d:
+                raise ArityError(
+                    f"polynomial #{i + 1} has weighted degree {f.wdeg()}, declared {d}"
+                )
 
     @property
     def m(self):

@@ -130,3 +130,21 @@ def test_bench_exit_codes(capsys):
     capsys.readouterr()
     assert main(["bench", "table2"]) == 0
     capsys.readouterr()
+
+
+def test_gb_hilbert_driven_overdetermined(tmp_path, capsys):
+    # the series of (1,1,1,1), D = (3,)^5 is a polynomial with negative
+    # coefficients; it is truncated before it drives the matrix engine
+    out = tmp_path / "od.txt"
+    assert main(["gen", "--weights", "1,1,1,1", "--degrees", "3,3,3,3,3", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert main(["gb", str(out), "--engine", "matrix", "--hilbert-driven", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["size"] == 25
+    assert data["stats"]["observed_dreg"] == 6
+
+
+def test_modulus_above_bound_exits_2(capsys):
+    assert main(["gen", "--weights", "1,1", "--degrees", "2,2",
+                 "--modulus", str(2**31 + 11)]) == 2
+    assert "2^31" in capsys.readouterr().err

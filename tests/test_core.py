@@ -14,7 +14,7 @@ from wgb import (
     spoly,
     wdeg,
 )
-from wgb.errors import DimensionError, FieldMismatchError
+from wgb.errors import ArityError, DimensionError, FieldMismatchError
 from wgb.monomial import mono_lcm, mono_mul, monomials_of_wdeg
 
 
@@ -223,3 +223,11 @@ def test_system_degree_declaration():
     sys = PolySystem(R, [x ** 2 + y ** 4, y])
     assert sys.degrees == (4, 1)
     assert sys.is_w_homogeneous()
+
+
+def test_system_rejects_wrong_declared_degree():
+    R = PolyRing(PrimeField(7), (1, 1), names=("X", "Y"))
+    X, Y = R.gens()
+    with pytest.raises(ArityError, match="declared 3"):
+        PolySystem(R, [X ** 2, X * Y], (2, 3))
+    assert PolySystem(R, [X ** 2, R.zero()], (2, 5)).degrees == (2, 5)

@@ -22,7 +22,7 @@ from wgb import (
     weighted_bezout,
 )
 from wgb.engine import matrix_staircase_data
-from wgb.errors import NotWHomogeneousError
+from wgb.errors import EmptySupportError, NotWHomogeneousError
 from wgb.fglm import staircase
 from wgb.structure import is_regular_sequence, is_snp, random_w_homogeneous_system
 
@@ -227,3 +227,89 @@ def test_matrix_staircase_data_prefix_exactness():
     got = staircase_census([g.lm for g in basis], sys.ring.weights, 6)
     want = staircase_census(full.lt_monomials(), sys.ring.weights, 6)
     assert got == want
+
+
+def _interreduce_inputs(monkeypatch, run):
+    """The (ring, polys) of every engine._interreduce call made by run()."""
+    import wgb.engine as engine
+
+    seen = []
+    inner = engine._interreduce
+
+    def record(ring, polys):
+        seen.append((ring, list(polys)))
+        return inner(ring, polys)
+
+    monkeypatch.setattr(engine, "_interreduce", record)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _random_generating_sets(rng, count):
+    """Small sparse sets over tiny fields: rarely a Groebner basis, with
+    repeated leading monomials and leading monomials that drop."""
+    out = []
+    for _ in range(count):
+        n = rng.choice([1, 2, 3])
+        W = tuple(rng.randint(1, 3) for _ in range(n))
+        order = rng.choice([MonomialOrder.wgrevlex(W), MonomialOrder.lex(W)])
+        R = PolyRing(PrimeField(rng.choice([2, 3, 5])), W, order)
+        pool = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(10)]
+        polys = [
+            R.from_map({rng.choice(pool): rng.randint(0, 4) for _ in range(rng.randint(1, 6))})
+            for _ in range(rng.randint(1, 10))
+        ]
+        out.append((R, polys))
+    return out
+
+
+def test_interreduce_matches_fixpoint_oracle(monkeypatch):
+    from interreduce_oracle import interreduce_fixpoint
+
+    from wgb.engine import _interreduce
+
+    rng = random.Random(2024)
+    cases = []
+    for seed in range(16):
+        n = rng.choice([2, 3])
+        W = tuple(sorted((rng.choice([1, 1, 2, 3]) for _ in range(n)), reverse=True))
+        D = tuple(W[0] * rng.choice([2, 3]) + rng.randint(0, 2) for _ in range(n))
+        try:
+            sys = random_w_homogeneous_system(W, D, seed=seed, field=rng.choice([7, 65521]))
+        except EmptySupportError:
+            continue
+        lex = MonomialOrder.lex(W)
+        cases += _interreduce_inputs(monkeypatch, lambda: buchberger(sys))
+        cases += _interreduce_inputs(monkeypatch, lambda: buchberger(sys, lex))
+        cases += _interreduce_inputs(monkeypatch, lambda: elimination_gb(sys, 1))
+        cases += _interreduce_inputs(monkeypatch, lambda: matrix_gb_whomog(sys))
+        # the inputs themselves are generating sets that are not bases
+        cases.append((sys.ring, list(sys.polys)))
+        lex_sys = sys.with_order(lex)
+        cases.append((lex_sys.ring, list(lex_sys.polys)))
+    assert len(cases) >= 60
+    R = ring((1, 1)).with_order(MonomialOrder.lex((1, 1)))
+    x, y = R.gens()
+    cases.append((R, [x, x + y]))
+    cases += _random_generating_sets(rng, 400)
+    for R, polys in cases:
+        got = [f.terms for f in _interreduce(R, polys)]
+        assert got == [f.terms for f in interreduce_fixpoint(R, polys)], (R, polys)
+
+
+def test_interreduce_one_reduction_per_reduced_element(monkeypatch):
+    import wgb.engine as engine
+
+    gb = buchberger(random_w_homogeneous_system((1, 1, 1), (3, 3, 4), seed=3))
+    calls = []
+    inner = engine.reduce_poly
+
+    def counted(f, basis):
+        calls.append(f)
+        return inner(f, basis)
+
+    monkeypatch.setattr(engine, "reduce_poly", counted)
+    again = reduce_basis(gb)
+    assert len(calls) == len(gb.polys) > 10
+    assert [f.terms for f in again.polys] == [f.terms for f in gb.polys]

@@ -17,7 +17,7 @@ from wgb import (
     quotient_hilbert_series,
     staircase,
 )
-from wgb.errors import PositiveDimensionError
+from wgb.errors import PositiveDimensionError, StaircaseTooLargeError
 from wgb.structure import random_w_homogeneous_system
 
 
@@ -147,3 +147,39 @@ def test_fglm_cost_shape():
     cs = {deg: ops[deg] / (2 * deg ** 3) for deg in ops}
     # the per-degree constants stay within a tame band across a 8x ladder
     assert max(cs.values()) / min(cs.values()) < 64, cs
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+def test_fglm_exact_at_every_supported_modulus(p):
+    # at p = 2^31 - 1 a plain int64 mat-vec product overflows on this staircase
+    sys = random_w_homogeneous_system((1, 1, 1), (3, 3, 4), seed=3, field=p)
+    gb = buchberger(sys)
+    assert len(staircase(gb)) == 36
+    direct = buchberger(sys, MonomialOrder.lex((1, 1, 1)))
+    assert [f.terms for f in fglm_lex(gb).polys] == [f.terms for f in direct.polys]
+
+
+def test_modulus_bound_enforced():
+    with pytest.raises(ValueError, match="2\\^31"):
+        PrimeField(2**31 + 11)  # the smallest prime above the bound
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+
+
+def test_fglm_rejects_staircase_beyond_exact_range(monkeypatch):
+    import wgb.fglm
+
+    monkeypatch.setattr(wgb.fglm, "MAX_STAIRCASE", 36)
+    gb = buchberger(random_w_homogeneous_system((1, 1, 1), (3, 3, 4), seed=3))
+    with pytest.raises(StaircaseTooLargeError):
+        fglm_lex(gb)
+
+
+def test_matvec_mod_matches_exact_integers():
+    from wgb.fglm import _matvec_mod
+
+    rng = np.random.default_rng(5)
+    for p in (65521, 2**31 - 1):
+        M = rng.integers(0, p, size=(300, 300), dtype=np.int64)
+        v = rng.integers(0, p, size=300, dtype=np.int64)
+        exact = (M.astype(object) @ v.astype(object)) % p
+        assert _matvec_mod(M, v, p).tolist() == exact.tolist()
