@@ -12,6 +12,8 @@ import heapq
 import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import (
     NotInImageError,
     NotWHomogeneousError,
 )
+from .linalg import row_echelon, zeros
 from .monomial import (
     mono_divides,
     mono_lcm,
@@ -30,9 +33,20 @@ from .monomial import (
     wdeg,
 )
 from .order import WGREVLEX, MonomialOrder
-from .poly import reduce_poly, spoly
+from .poly import Polynomial, reduce_poly, spoly
 from .series import semiregular_truncation_degree, staircase_census
 from .transform import hom_w_inverse, hom_w_system
+
+
+class DegreeRecord(NamedTuple):
+    """Counts of one degree's matrix in the signature engine."""
+
+    degree: int
+    rows: int  # rows built
+    skipped: int  # rows the signature criterion skipped
+    cols: int
+    new_pivots: int
+    zero_reductions: int
 
 
 @dataclass
@@ -43,6 +57,8 @@ class GBStats:
     max_matrix_rows: int = 0
     max_matrix_cols: int = 0
     engine: str = ""
+    # one DegreeRecord per matrix the signature engine built
+    degrees: list = field(default_factory=list)
 
     def as_dict(self):
         return {
@@ -52,6 +68,7 @@ class GBStats:
             "observed_dreg": self.observed_dreg,
             "max_matrix_rows": self.max_matrix_rows,
             "max_matrix_cols": self.max_matrix_cols,
+            "degrees": [rec._asdict() for rec in self.degrees],
         }
 
 
@@ -205,6 +222,12 @@ def buchberger(sys, order=None):
     return GroebnerBasis(ring, polys, True, stats)
 
 
+def _divisible(monos, lms):
+    """For each row of the exponent array monos: is it divisible by a row
+    of lms?"""
+    return (lms[None, :, :] <= monos[:, None, :]).all(axis=2).any(axis=1)
+
+
 class _MatrixRun:
     """Shared degree-by-degree signature elimination.
 
@@ -222,83 +245,97 @@ class _MatrixRun:
         self.ws = sys.ring.weights
         self.inputs = [f.monic() for f in sys.polys if f]
         self.degrees = [f.wdeg() for f in self.inputs]
+        self._terms = [
+            (np.array([e for e, _ in f.terms], dtype=np.int64), np.array([c for _, c in f.terms]))
+            for f in self.inputs
+        ]
         self.basis = []      # harvested polynomials
         self.tags = []       # input index that produced each one
         self.prefix_pivots = {}  # degree -> pivots after the rows of inputs 0..i
         self.stats = GBStats(engine="matrix")
         self._monomials = {}
 
-    def _blocked(self, i, mult):
-        for g, tag in zip(self.basis, self.tags):
-            if tag < i and mono_divides(g.lm, mult):
-                return True
-        return False
-
     def _sorted_monomials(self, d):
-        """Monomials of weighted degree d in increasing order (cached)."""
+        """Monomials of weighted degree d, largest first, as tuples and as an
+        exponent array (cached)."""
         hit = self._monomials.get(d)
         if hit is None:
-            hit = sorted(monomials_of_wdeg(self.ws.weights, d), key=self.ring.order.key)
-            self._monomials[d] = hit
+            # on one weighted degree, weighted grevlex is the reverse of lex
+            # on the reversed exponents
+            n = self.ring.n
+            monos = sorted(monomials_of_wdeg(self.ws.weights, d), key=itemgetter(*range(n - 1, -1, -1)))
+            hit = self._monomials[d] = (monos, np.array(monos, dtype=np.int64).reshape(-1, n))
         return hit
 
     def run_degree(self, d, n_inputs=None):
         """Build and reduce the degree-d matrix; returns True if any row existed.
 
-        Only the rows of the first n_inputs inputs are built when given.
-        Once the pivots fill every column the remaining rows are counted as
-        reductions to zero without being reduced.
+        Rows u*f_i come in input order, multipliers u increasing; the
+        signature criterion skips the u divisible by the leading term of an
+        element harvested for an earlier input.  Only the rows of the first
+        n_inputs inputs are built when given.  Columns are the degree-d
+        monomials, largest first.
         """
-        ring, p = self.ring, self.p
-        rows = []
-        for i, (f, di) in enumerate(zip(self.inputs[:n_inputs], self.degrees)):
+        lms = np.array([g.lm for g in self.basis], dtype=np.int64).reshape(-1, self.ring.n)
+        tags = np.array(self.tags, dtype=np.int64)
+        blocks = []
+        skipped = 0
+        for i, di in enumerate(self.degrees[:n_inputs]):
             if di > d:
                 continue
-            for mult in self._sorted_monomials(d - di):
-                if not self._blocked(i, mult):
-                    rows.append((i, mult, f))
-        if not rows:
+            mults = self._sorted_monomials(d - di)[1][::-1]
+            blocked = _divisible(mults, lms[tags < i])
+            skipped += int(blocked.sum())
+            mults = mults[~blocked]
+            if len(mults):
+                blocks.append((i, mults))
+        nrows = sum(len(mults) for _, mults in blocks)
+        if not nrows:
             return False
-        cols = self._sorted_monomials(d)[::-1]
-        col_index = {m: idx for idx, m in enumerate(cols)}
+        cols, col_arr = self._sorted_monomials(d)
         ncols = len(cols)
-        self.stats.max_matrix_rows = max(self.stats.max_matrix_rows, len(rows))
+        self.stats.max_matrix_rows = max(self.stats.max_matrix_rows, nrows)
         self.stats.max_matrix_cols = max(self.stats.max_matrix_cols, ncols)
 
-        pivots = {}
-        store = []
-        new_pivots = [0] * len(self.inputs)
-        known_lms = [g.lm for g in self.basis]
-        for r, (i, mult, f) in enumerate(rows):
-            if len(store) == ncols:
-                self.stats.reductions_to_zero += len(rows) - r
-                break
-            vec = np.zeros(ncols, dtype=np.int64)
-            for e, c in f.terms:
-                vec[col_index[mono_mul(e, mult)]] = c
-            jcol = col_index[mono_mul(f.lm, mult)]  # f is monic: vec[jcol] == 1
-            while jcol in pivots:
-                vec = (vec - int(vec[jcol]) * store[pivots[jcol]]) % p
-                nz = np.flatnonzero(vec)
-                jcol = int(nz[0]) if nz.size else None
-            if jcol is None:
-                self.stats.reductions_to_zero += 1
-                continue
-            if vec[jcol] != 1:
-                vec = (vec * pow(int(vec[jcol]), p - 2, p)) % p
-            pivots[jcol] = len(store)
-            store.append(vec)
-            new_pivots[i] += 1
-            lmono = cols[jcol]
-            if not any(mono_divides(lm, lmono) for lm in known_lms):
-                poly = ring.from_map(
-                    {cols[int(k)]: int(vec[int(k)]) for k in np.flatnonzero(vec)}
-                )
-                self.basis.append(poly)
-                self.tags.append(i)
-                known_lms.append(lmono)
-        self.prefix_pivots[d] = list(accumulate(new_pivots))
+        # mixed-radix codes, the last exponent the most significant digit,
+        # increase along the columns and locate each product
+        radix, size = [], 1
+        for w in self.ws.weights:
+            radix.append(size)
+            size *= d // w + 1
+        radix = np.array(radix, dtype=np.int64 if size < 2**63 else object)
+        codes = col_arr @ radix
+        A = zeros((nrows, ncols), np.int32)  # entries below p < 2^31
+        row_input = np.empty(nrows, dtype=np.int64)
+        r0 = 0
+        for i, mults in blocks:
+            exps, coeffs = self._terms[i]
+            # the code of a product is the sum of the codes
+            products = (mults @ radix)[:, None] + (exps @ radix)[None, :]
+            at = np.searchsorted(codes, products)
+            A[np.arange(r0, r0 + len(mults))[:, None], at] = coeffs
+            row_input[r0 : r0 + len(mults)] = i
+            r0 += len(mults)
+
+        lead, E = row_echelon(A, self.p)
+        independent = lead >= 0
+        new_pivots = np.bincount(row_input[independent], minlength=len(self.inputs))
+        self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
+        zero = nrows - len(E)
+        self.stats.reductions_to_zero += zero
         self.stats.observed_dreg = max(self.stats.observed_dreg, d)
+        self.stats.degrees.append(DegreeRecord(d, nrows, skipped, ncols, len(E), zero))
+
+        # a new leading monomial not divisible by an earlier one is harvested;
+        # two of one degree never divide each other
+        harvest = ~_divisible(col_arr[lead[independent]], lms)
+        producers = row_input[independent]
+        for k in np.flatnonzero(harvest).tolist():
+            row = E[k]
+            nz = np.flatnonzero(row)
+            terms = tuple(zip([cols[j] for j in nz.tolist()], row[nz].tolist()))
+            self.basis.append(Polynomial(self.ring, terms))
+            self.tags.append(int(producers[k]))
         return True
 
     def census_matches(self, expected):

@@ -2,10 +2,11 @@
 
 Plain dense FGLM: extract the staircase, build the multiplication
 matrices by normal forms, then walk lex monomials in increasing order,
-testing each normal-form vector for linear dependence with an
-incremental row echelon whose transformation is tracked (a dependency
-yields exactly one reduced lex basis element).  Field operations are
-counted so the n * degree^3 cost shape is observable.
+testing each normal-form vector for linear dependence against a reduced
+row echelon form with its transformation appended: one product reduces
+a candidate, and a dependency yields exactly one reduced lex basis
+element.  Field operations are counted so the n * degree^3 cost shape is
+observable.
 """
 
 import heapq
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositiveDimensionError, StaircaseTooLargeError
+from .linalg import MAX_INNER, matmul_mod, reduce_rows, zeros
 from .monomial import mono_divides, mono_mul
 from .order import MonomialOrder
 from .poly import reduce_poly
@@ -49,16 +51,10 @@ def staircase(gb):
     return out
 
 
-# the mat-vec products split each vector into 16-bit halves; with entries
-# below p < 2^31 a row sum stays below 2^63 while the staircase is smaller
-MAX_STAIRCASE = 1 << 16
-
-
-def _matvec_mod(M, v, p):
-    """M @ v mod p, exact in int64 for every supported p and len(v) < 2^16."""
-    hi = (M @ (v >> 16)) % p
-    lo = (M @ (v & 0xFFFF)) % p
-    return (hi * (1 << 16) + lo) % p
+# the modular products are exact for inner dimensions below this
+MAX_STAIRCASE = MAX_INNER
+# echelon rows are copied out this many at a time, to keep copies small
+_GATHER_ROWS = 64
 
 
 @dataclass
@@ -116,11 +112,10 @@ def fglm_lex(gb, return_stats=False):
     accepted = []            # lex staircase monomials, in discovery order
     accepted_index = {}
     vectors = []             # their normal-form coordinate vectors (length D)
-    # echelon rows over the accepted vectors; trans expresses each echelon
-    # row as a combination of the accepted vectors
-    ech_pivots = []
-    ech_rows = []
-    ech_trans = []
+    # reduced echelon rows over the accepted vectors, each followed by its
+    # transformation: row = sum(trans[j] * vectors[j])
+    ech = zeros((D, 2 * D), np.int64)
+    ech_pivots = np.zeros(D, dtype=np.int64)
     lex_lts = []
     basis_out = []
 
@@ -131,7 +126,7 @@ def fglm_lex(gb, return_stats=False):
                 j = accepted_index.get(parent)
                 if j is not None:
                     stats.field_ops += D * D
-                    return _matvec_mod(mats[v], vectors[j], p)
+                    return matmul_mod(mats[v], vectors[j], p)
         raise RuntimeError("candidate without accepted parent")
 
     unit = (0,) * n
@@ -148,33 +143,41 @@ def fglm_lex(gb, return_stats=False):
         else:
             vec = nf_vector(mono)
 
-        work = vec.copy()
-        lam = np.zeros(D, dtype=np.int64)  # combination over accepted slots
-        for piv, row, trans in zip(ech_pivots, ech_rows, ech_trans):
-            c = int(work[piv])
-            if c:
-                work = (work - c * row) % p
-                lam = (lam + c * trans) % p
-                stats.field_ops += 2 * D
-        nz = np.flatnonzero(work)
+        # [vec | 0] reduced by the echelon rows: [work | -lam], where
+        # vec = work + sum(lam[j] * vectors[j])
+        row = np.zeros(2 * D, dtype=np.int64)
+        row[:D] = vec
+        # only the echelon rows at whose pivots vec is nonzero take part,
+        # gathered a block at a time
+        r = len(accepted)
+        used = np.flatnonzero(vec[ech_pivots[:r]])
+        stats.field_ops += len(used) * 2 * D
+        for s in range(0, len(used), _GATHER_ROWS):
+            u = used[s : s + _GATHER_ROWS]
+            reduce_rows(row, ech_pivots[u], ech[u], p)
+        nz = np.flatnonzero(row[:D])
         if nz.size == 0:
             # vec == sum(lam_j * vectors[j]): one reduced lex basis element
             terms = {mono: 1}
             for j in range(len(accepted)):
-                c = int(lam[j])
+                c = int(row[D + j])
                 if c:
-                    terms[accepted[j]] = -c
+                    terms[accepted[j]] = c
             basis_out.append(target.from_map(terms))
             lex_lts.append(mono)
             continue
         piv = int(nz[0])
-        inv = pow(int(work[piv]), p - 2, p)
-        row = (work * inv) % p
-        trans = (-lam * inv) % p
-        trans[len(accepted)] = inv
-        ech_pivots.append(piv)
-        ech_rows.append(row)
-        ech_trans.append(trans)
+        row[D + len(accepted)] = 1
+        row = (row * pow(int(row[piv]), p - 2, p)) % p
+        hit = np.flatnonzero(ech[:r, piv])
+        stats.field_ops += len(hit) * 2 * D
+        for s in range(0, len(hit), _GATHER_ROWS):
+            h = hit[s : s + _GATHER_ROWS]
+            cleared = ech[h]
+            reduce_rows(cleared, [piv], row[None, :], p)
+            ech[h] = cleared
+        ech[r] = row
+        ech_pivots[r] = piv
         accepted_index[mono] = len(accepted)
         accepted.append(mono)
         vectors.append(vec)

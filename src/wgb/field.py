@@ -4,7 +4,9 @@ from .errors import FieldMismatchError
 
 DEFAULT_MODULUS = 65521
 # every product of two residues fits in int64 with room for one addition,
-# which the numpy eliminations of the matrix engine and FGLM rely on
+# which the row loop and the mod-p steps of wgb.linalg rely on; its
+# products stay exact below the bound by splitting operands into 16-bit
+# halves once k * (p - 1)^2 reaches 2^53 (float64) or 2^63 (int64)
 MODULUS_BOUND = 2**31
 
 

@@ -1,0 +1,185 @@
+"""Linear algebra over GF(p), p < 2^31: one elimination kernel and one
+modular product.
+
+Matrices are int32 or int64 arrays with entries in [0, p).  Matrix
+products run as float64 BLAS calls, exact while every sum stays below
+2^53, and are reduced mod p in int64 (np.fmod on float64 is ~40x slower);
+above that the operands are split into 16-bit halves (Dumas-Giorgi-Pernet,
+"Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
+packages", TOMS 2008).
+The elimination follows the recursive row rank profile scheme of
+Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case.
+"""
+
+import mmap
+
+import numpy as np
+
+# float64 represents every integer up to 2^53 exactly
+_FLOAT_EXACT = 2**53
+# the split products sum k terms below 2^47 (int64) or 2^32 (float64)
+MAX_INNER = 2**16
+# Blocks of at most BASE_ROWS rows, and blocks whose rows average at most
+# SPARSE_ROW_NONZEROS nonzero entries, are eliminated row by row.  There a
+# row whose leading column is free costs no arithmetic, and sparse rows
+# meet few pivots: most matrices of a signature run on mixed powers are
+# like that, and the blocked path costs them more than it saves.
+BASE_ROWS = 8
+SPARSE_ROW_NONZEROS = 8
+# reduce_rows works on blocks of rows and columns whose float64 operands
+# and products have at most about this many entries, so that its
+# temporaries stay a small fraction of a large matrix
+_BLOCK_ENTRIES = 1 << 13
+
+
+def zeros(shape, dtype):
+    """A zero-filled array in an anonymous mapping.  Its pages are touched
+    only when written and go back to the system with the last view of the
+    array; a large malloc block, once freed, raises malloc's thresholds and
+    keeps the next ones resident in the heap."""
+    count = int(np.prod(shape))
+    itemsize = np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, max(count, 1) * itemsize)
+    return np.frombuffer(buf, dtype=dtype)[:count].reshape(shape)
+
+
+def matmul_mod(A, B, p):
+    """A @ B mod p for entries in [0, p), exact for p < 2^31 and an inner
+    dimension k below MAX_INNER.  A and B may be vectors.
+
+    A product with a vector, or with k = 1, stays in int64, where numpy
+    runs it without float copies: one product while k (p - 1)^2 < 2^63,
+    two over the vector's 16-bit halves above.  Other products are float64
+    BLAS calls: one while k (p - 1)^2 < 2^53, four over the 16-bit halves
+    of both operands above.
+    """
+    k = A.shape[-1]
+    if k >= MAX_INNER:
+        raise ValueError(f"inner dimension {k} is not below {MAX_INNER}")
+    if A.ndim == 1 or B.ndim == 1 or k == 1:
+        A = np.asarray(A, dtype=np.int64)
+        B = np.asarray(B, dtype=np.int64)
+        if k * (p - 1) ** 2 < 2**63:
+            return (A @ B) % p
+        if A.ndim == 1:
+            hi, lo = (A >> 16) @ B, (A & 0xFFFF) @ B
+        else:
+            hi, lo = A @ (B >> 16), A @ (B & 0xFFFF)
+        return (hi % p * (1 << 16) + lo % p) % p
+    if k * (p - 1) ** 2 < _FLOAT_EXACT:
+        out = (np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)).astype(np.int64)
+        out %= p
+        return out
+    a1, a0 = (h.astype(np.float64) for h in np.divmod(A, 1 << 16))
+    b1, b0 = (h.astype(np.float64) for h in np.divmod(B, 1 << 16))
+    hi = (a1 @ b1).astype(np.int64) % p
+    mid = (a1 @ b0 + a0 @ b1).astype(np.int64) % p
+    lo = (a0 @ b0).astype(np.int64) % p
+    # hi * (2^32 mod p) < 2^62, mid * 2^16 < 2^47: the sum fits in int64
+    return (hi * ((1 << 32) % p) + mid * (1 << 16) + lo) % p
+
+
+def reduce_rows(X, piv, E, p):
+    """Clear the entries of X in the pivot columns piv with the reduced
+    echelon rows E (E[:, piv] is the identity), in place, mod p."""
+    if X.ndim == 1:
+        X -= matmul_mod(X[piv], E, p)
+        X %= p
+        return
+    k, n = E.shape
+    rows = max(1, _BLOCK_ENTRIES // max(1, k))
+    cols = max(1, _BLOCK_ENTRIES // max(1, k, min(rows, len(X))))
+    for r in range(0, len(X), rows):
+        C = X[r : r + rows, piv].astype(np.float64)
+        for s in range(0, n, cols):
+            part = X[r : r + rows, s : s + cols]
+            part -= matmul_mod(C, E[:, s : s + cols], p)
+            part %= p
+
+
+def row_echelon(A, p):
+    """Row rank profile and reduced row echelon form of A over GF(p).
+
+    Returns (lead, E): lead[r] is the leading column of row r after
+    reduction by the rows above it, or -1 when it reduces to zero; E holds
+    one row per independent row, in row order, monic at its leading column
+    and zero at every other row's leading column.  A must be an int32 or
+    int64 array; it is overwritten, and E is a view of its first rows.
+    """
+    m, n = A.shape
+    if m <= BASE_ROWS or np.count_nonzero(A) <= SPARSE_ROW_NONZEROS * m:
+        return _echelon_rows(A, p)
+    # echelon the top half, reduce the bottom half by it in one product,
+    # echelon the bottom half, then clear its pivots from the top half
+    h = m // 2
+    lead_t, E_t = row_echelon(A[:h], p)
+    r_t = len(E_t)
+    if r_t == n:
+        return np.concatenate([lead_t, np.full(m - h, -1, dtype=np.int64)]), E_t
+    bottom = A[h:]
+    if r_t:
+        reduce_rows(bottom, lead_t[lead_t >= 0], E_t, p)
+    lead_b, E_b = row_echelon(bottom, p)
+    r_b = len(E_b)
+    if r_b and r_t:
+        reduce_rows(E_t, lead_b[lead_b >= 0], E_b, p)
+    # move the bottom rows up under the top ones, in pieces that do not
+    # overlap (none when the top half is independent)
+    gap = h - r_t
+    for s in range(0, r_b if gap else 0, gap or 1):
+        e = min(s + gap, r_b)
+        A[r_t + s : r_t + e] = A[h + s : h + e]
+    return np.concatenate([lead_t, lead_b]), A[: r_t + r_b]
+
+
+def _echelon_rows(A, p):
+    """Row by row: each row is reduced at its leading column by the rows
+    kept so far until that column is free, then made monic and kept; a
+    final pass clears the entries the kept rows have in later pivot
+    columns."""
+    m, n = A.shape
+    nonzero = A != 0
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1).tolist()
+    del nonzero
+    lead = np.full(m, -1, dtype=np.int64)
+    pivots = {}  # column -> kept row; kept rows overwrite A from the top
+    for r in range(m):
+        if len(pivots) == n:
+            break
+        j = first[r]
+        if j < 0:
+            continue
+        vec = A[r]
+        if j in pivots:
+            vec = vec.astype(np.int64)  # products of residues need int64
+        while j in pivots:
+            vec = (vec - vec[j] * A[pivots[j]]) % p
+            nz = np.flatnonzero(vec)
+            j = int(nz[0]) if nz.size else -1
+        if j < 0:
+            continue
+        if vec[j] != 1:
+            vec = (vec.astype(np.int64) * pow(int(vec[j]), p - 2, p)) % p
+        k = len(pivots)
+        A[k] = vec
+        pivots[j] = k
+        lead[r] = j
+    E = A[: len(pivots)]
+    piv = lead[lead >= 0]
+    # a row is zero left of its own pivot, so in pivot order the kept rows'
+    # entries in the pivot columns are upper triangular.  A row is cleared
+    # once the rows at whose pivots it has entries are; rows are cleared a
+    # level at a time, rightmost pivots first.
+    others = (E != 0)[:, piv]
+    others[np.arange(len(piv)), np.arange(len(piv))] = False
+    todo = np.flatnonzero(others.any(axis=1))
+    level = np.zeros(len(piv), dtype=np.int64)
+    for k in sorted(todo.tolist(), key=piv.__getitem__, reverse=True):
+        level[k] = level[others[k]].max() + 1
+    for lv in range(1, level.max(initial=0) + 1):
+        rows = np.flatnonzero(level == lv)
+        deps = np.flatnonzero(others[rows].any(axis=0))
+        X = E[rows]
+        reduce_rows(X, piv[deps], E[deps], p)
+        E[rows] = X
+    return lead, E

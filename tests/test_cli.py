@@ -51,6 +51,9 @@ def test_gen_and_gb(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["stats"]["observed_dreg"] == 13
     assert data["reduced"] is True
+    degrees = data["stats"]["degrees"]
+    assert degrees[-1]["degree"] == 13
+    assert sum(r["zero_reductions"] for r in degrees) == data["stats"]["reductions_to_zero"]
 
 
 def test_gen_affine_support(tmp_path):

@@ -21,8 +21,8 @@ from wgb import (
     spoly,
     weighted_bezout,
 )
-from wgb.engine import matrix_staircase_data
-from wgb.errors import EmptySupportError, NotWHomogeneousError
+from wgb.engine import matrix_staircase_data, prefix_ideal_dims
+from wgb.errors import EmptySupportError, IncompleteBasisError, NotWHomogeneousError
 from wgb.fglm import staircase
 from wgb.structure import is_regular_sequence, is_snp, random_w_homogeneous_system
 
@@ -313,3 +313,66 @@ def test_interreduce_one_reduction_per_reduced_element(monkeypatch):
     again = reduce_basis(gb)
     assert len(calls) == len(gb.polys) > 10
     assert [f.terms for f in again.polys] == [f.terms for f in gb.polys]
+
+
+def _eliminate_through_oracle(monkeypatch):
+    """Run the matrix engine's elimination through the row-by-row oracle."""
+    import numpy as np
+    from elimination_oracle import eliminate_rows
+
+    import wgb.engine as engine
+
+    def oracle(A, p):
+        lead, kept = eliminate_rows(A, p)
+        return np.array(lead, dtype=np.int64), np.array(kept, dtype=np.int64).reshape(-1, A.shape[1])
+
+    monkeypatch.setattr(engine, "row_echelon", oracle)
+
+
+def _matrix_run(sys):
+    """The basis, or the partial basis when the window cannot certify one."""
+    try:
+        return matrix_gb_whomog(sys), True
+    except IncompleteBasisError as exc:
+        return exc.partial, False
+
+
+@pytest.mark.parametrize("p", [3, 65521, 2**31 - 1])
+def test_matrix_engine_off_default_prime_matches_oracle(p, monkeypatch):
+    # at p = 2^31 - 1 every product of the kernel takes the 16-bit halves
+    rng = random.Random(p)
+    complete = 0
+    for seed in range(10):
+        n = rng.choice([2, 3])
+        W = tuple(sorted((rng.choice([1, 1, 2]) for _ in range(n)), reverse=True))
+        D = tuple(W[0] * rng.choice([2, 3]) for _ in range(n + rng.choice([0, 1])))
+        sys = random_w_homogeneous_system(W, D, seed, field=p)
+        bounds = [sum(D[: i + 1]) for i in range(len(D))]
+        gb, ok = _matrix_run(sys)
+        dims = prefix_ideal_dims(sys, bounds)
+        with monkeypatch.context() as mp:
+            _eliminate_through_oracle(mp)
+            want, want_ok = _matrix_run(sys)
+            assert prefix_ideal_dims(sys, bounds) == dims
+        assert ok == want_ok
+        assert [g.terms for g in gb.polys] == [g.terms for g in want.polys]
+        assert gb.stats.as_dict() == want.stats.as_dict()
+        if ok:
+            complete += 1
+            assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]
+    assert complete >= 5
+
+
+def test_matrix_stats_per_degree_record():
+    # overdetermined, so some rows reduce to zero despite the criterion
+    gb = matrix_gb_whomog(random_w_homogeneous_system((2, 1, 1), (2, 2, 4, 4), seed=9))
+    st = gb.stats
+    recs = st.degrees
+    assert [r.degree for r in recs] == sorted({r.degree for r in recs})
+    assert recs[-1].degree == st.observed_dreg
+    assert sum(r.zero_reductions for r in recs) == st.reductions_to_zero > 0
+    assert max(r.rows for r in recs) == st.max_matrix_rows
+    assert max(r.cols for r in recs) == st.max_matrix_cols
+    assert all(r.new_pivots + r.zero_reductions == r.rows for r in recs)
+    assert sum(r.skipped for r in recs) > 0
+    assert st.as_dict()["degrees"] == [r._asdict() for r in recs]

@@ -175,11 +175,27 @@ def test_fglm_rejects_staircase_beyond_exact_range(monkeypatch):
 
 
 def test_matvec_mod_matches_exact_integers():
-    from wgb.fglm import _matvec_mod
+    from wgb.linalg import matmul_mod
 
     rng = np.random.default_rng(5)
-    for p in (65521, 2**31 - 1):
+    for p in (2, 65521, 2**31 - 1):
         M = rng.integers(0, p, size=(300, 300), dtype=np.int64)
         v = rng.integers(0, p, size=300, dtype=np.int64)
-        exact = (M.astype(object) @ v.astype(object)) % p
-        assert _matvec_mod(M, v, p).tolist() == exact.tolist()
+        B = rng.integers(0, p, size=(300, 7), dtype=np.int64)
+        Mo, vo, Bo = (X.astype(object) for X in (M, v, B))
+        assert matmul_mod(M, v, p).tolist() == ((Mo @ vo) % p).tolist()
+        assert matmul_mod(v, M, p).tolist() == ((vo @ Mo) % p).tolist()
+        assert matmul_mod(M, B, p).tolist() == ((Mo @ Bo) % p).tolist()
+    # At each bound one more term takes the split path; with all entries
+    # p - 1 the k = 64 sums are as large as they can be, and with p - 2 the
+    # k = 65 sums are odd and beyond the bound, where one product would
+    # overflow int64 or round in float64.
+    for p, bound, shape in [
+        (379625047, 2**63, lambda k: (k,)),  # matrix-vector, int64
+        (11863279, 2**53, lambda k: (k, 2)),  # matrix-matrix, float64
+    ]:
+        assert 64 * (p - 1) ** 2 < bound <= 65 * (p - 2) ** 2
+        for k, c in ((64, p - 1), (65, p - 2)):
+            M = np.full((3, k), c, dtype=np.int64)
+            X = np.full(shape(k), c, dtype=np.int64)
+            assert (matmul_mod(M, X, p) == k * c * c % p).all()
