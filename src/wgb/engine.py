@@ -338,10 +338,13 @@ class _MatrixRun:
             self.tags.append(int(producers[k]))
         return True
 
-    def census_matches(self, expected):
+    def census_divergence(self, expected):
+        """(degree, got, expected) at the first degree where the census of
+        the basis so far leaves the expected series, or None."""
         upto = expected.degree + self.ws.max
         got = staircase_census([g.lm for g in self.basis], self.ws, upto)
-        return got == expected.coeffs_upto(upto)
+        want = expected.coeffs_upto(upto)
+        return next(((e, a, b) for e, (a, b) in enumerate(zip(got, want)) if a != b), None)
 
 
 def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
@@ -383,7 +386,7 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
                 f"matrix engine exceeded its budget at degree {d}", stats=run.stats
             )
         run.run_degree(d)
-        if expected_series is not None and run.census_matches(expected_series):
+        if expected_series is not None and run.census_divergence(expected_series) is None:
             complete = True
             break
 
@@ -392,11 +395,14 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
     if complete:
         return gb
     if expected_series is not None:
+        e, got, want = divergence = run.census_divergence(expected_series)
         raise IncompleteBasisError(
             f"window [{min(run.degrees)}, {d_stop}] exhausted without matching the "
-            "expected Hilbert series",
+            f"expected Hilbert series: the census first leaves it at degree {e}, "
+            f"{got} against {want}",
             partial=gb,
             stats=run.stats,
+            first_divergence=divergence,
         )
     if gb.spolynomial_audit():
         return gb
@@ -406,22 +412,6 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
         partial=gb,
         stats=run.stats,
     )
-
-
-def matrix_staircase_data(sys, up_to_degree):
-    """Leading terms of the ideal, exact for all degrees <= up_to_degree.
-
-    A degree-truncated run: the degree-d matrix spans the full degree-d
-    slice of the ideal, so the harvested leading monomials determine the
-    staircase exactly on the processed range even when the basis is not
-    yet complete.
-    """
-    run = _MatrixRun(sys)
-    if not run.inputs:
-        return [], run.stats
-    for d in range(min(run.degrees), up_to_degree + 1):
-        run.run_degree(d)
-    return list(run.basis), run.stats
 
 
 def prefix_ideal_dims(sys, up_to_degrees):

@@ -40,13 +40,17 @@ class EmptySupportError(ValueError):
 class IncompleteBasisError(RuntimeError):
     """A degree-bounded engine run ended without a completeness certificate.
 
-    Carries the partial basis for diagnosis.
+    Carries the partial basis for diagnosis and, when an expected Hilbert
+    series was given, first_divergence = (degree, got, expected): the first
+    degree where the partial basis's census leaves that series, with both
+    coefficients.
     """
 
-    def __init__(self, message, partial=None, stats=None):
+    def __init__(self, message, partial=None, stats=None, first_divergence=None):
         super().__init__(message)
         self.partial = partial
         self.stats = stats
+        self.first_divergence = first_divergence
 
 
 class BudgetExceededError(RuntimeError):

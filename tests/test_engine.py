@@ -21,7 +21,7 @@ from wgb import (
     spoly,
     weighted_bezout,
 )
-from wgb.engine import matrix_staircase_data, prefix_ideal_dims
+from wgb.engine import prefix_ideal_dims
 from wgb.errors import EmptySupportError, IncompleteBasisError, NotWHomogeneousError
 from wgb.fglm import staircase
 from wgb.structure import is_regular_sequence, is_snp, random_w_homogeneous_system
@@ -217,16 +217,42 @@ def test_elimination_gb():
     assert gb0.order.kind == "wgrevlex"
 
 
-def test_matrix_staircase_data_prefix_exactness():
-    # a degree-truncated run yields the exact staircase on its range
-    sys = random_w_homogeneous_system((2, 1), (4, 4), seed=77)
-    full = buchberger(sys)
+def test_prefix_ideal_dims_degree_exactness():
+    # a degree-truncated run counts the whole ideal exactly on its range:
+    # dim I_e = #monomials of degree e - census of the full basis at e
+    from wgb.monomial import monomials_of_wdeg
     from wgb.series import staircase_census
 
-    basis, _ = matrix_staircase_data(sys, 6)
-    got = staircase_census([g.lm for g in basis], sys.ring.weights, 6)
-    want = staircase_census(full.lt_monomials(), sys.ring.weights, 6)
-    assert got == want
+    W = (2, 1)
+    sys = random_w_homogeneous_system(W, (4, 4), seed=77)
+    full = buchberger(sys)
+    dims = prefix_ideal_dims(sys, [6, 6])
+    census = staircase_census(full.lt_monomials(), W, 6)
+    assert dims[2] == [len(monomials_of_wdeg(W, e)) - census[e] for e in range(7)]
+
+
+def test_incomplete_basis_names_first_divergence():
+    # dreg is 13: a window ending at 10 leaves leading terms out
+    W = (3, 2, 1)
+    sys = random_w_homogeneous_system(W, (6, 6, 6), seed=2)
+    expected = expand_rational((6, 6, 6), W)
+    with pytest.raises(IncompleteBasisError) as info:
+        matrix_gb_whomog(sys, expected_series=expected, max_degree=10)
+    exc = info.value
+    e, got, want = exc.first_divergence
+    # every degree up to the window's end is exact
+    assert e > 10
+    assert want == expected.coeff(e)
+    from wgb.series import staircase_census
+
+    census = staircase_census(exc.partial.lt_monomials(), W, e)
+    assert census[e] == got > want
+    assert census[:e] == expected.coeffs_upto(e - 1)
+    assert f"degree {e}, {got} against {want}" in str(exc)
+    # with no expected series the divergence is not defined
+    with pytest.raises(IncompleteBasisError) as info:
+        matrix_gb_whomog(sys, max_degree=10)
+    assert info.value.first_divergence is None
 
 
 def _interreduce_inputs(monkeypatch, run):

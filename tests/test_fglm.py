@@ -1,9 +1,16 @@
 """Staircase extraction, multiplication matrices, lex change of ordering."""
 
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fglm_oracle
+import wgb.fglm
 
 from wgb import (
     MonomialOrder,
@@ -18,7 +25,10 @@ from wgb import (
     staircase,
 )
 from wgb.errors import PositiveDimensionError, StaircaseTooLargeError
-from wgb.structure import random_w_homogeneous_system
+from wgb.engine import GroebnerBasis
+from wgb.linalg import matmul_mod
+from wgb.monomial import monomials_of_wdeg
+from wgb.structure import random_affine_system, random_w_homogeneous_system
 
 
 def ring(weights, names=None):
@@ -81,9 +91,10 @@ def test_multiplication_matrices_commute():
         gb = buchberger(sys)
         mats = multiplication_matrices(gb)
         p = 65521
+        # int32 matrices: a raw product would overflow
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                assert ((mats[i] @ mats[j]) % p == (mats[j] @ mats[i]) % p).all()
+                assert (matmul_mod(mats[i], mats[j], p) == matmul_mod(mats[j], mats[i], p)).all()
 
 
 def test_multiplication_matrix_trace():
@@ -175,8 +186,6 @@ def test_fglm_rejects_staircase_beyond_exact_range(monkeypatch):
 
 
 def test_matvec_mod_matches_exact_integers():
-    from wgb.linalg import matmul_mod
-
     rng = np.random.default_rng(5)
     for p in (2, 65521, 2**31 - 1):
         M = rng.integers(0, p, size=(300, 300), dtype=np.int64)
@@ -199,3 +208,72 @@ def test_matvec_mod_matches_exact_integers():
             M = np.full((3, k), c, dtype=np.int64)
             X = np.full(shape(k), c, dtype=np.int64)
             assert (matmul_mod(M, X, p) == k * c * c % p).all()
+
+
+def _counting_reduce_poly():
+    """Patch wgb.fglm.reduce_poly with a mock that counts its calls."""
+    return mock.patch.object(wgb.fglm, "reduce_poly", wraps=wgb.fglm.reduce_poly)
+
+
+@st.composite
+def fglm_inputs(draw):
+    """(system, lex source): n <= 3, weights 1 or 2, degrees 2 to 4 (a
+    degree product up to 16 homogeneous, 12 affine: direct lex Buchberger
+    on affine systems grows fast), at every test modulus.  A quarter of
+    the time one equation is left out, which makes the ideal
+    positive-dimensional."""
+    n = draw(st.integers(1, 3))
+    W = tuple(draw(st.sampled_from([1, 2])) for _ in range(n))
+    D = tuple(draw(st.integers(2, 4)) for _ in range(n))
+    homogeneous = draw(st.booleans())
+    assume(all(monomials_of_wdeg(W, d) for d in D))
+    assume(math.prod(D) <= (16 if homogeneous else 12))
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        D = D[:-1]
+    p = draw(st.sampled_from([2, 3, 7, 65521, 2**31 - 1]))
+    make = random_w_homogeneous_system if homogeneous else random_affine_system
+    sys = make(W, D, draw(st.integers(0, 10**6)), field=p)
+    return sys, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fglm_inputs())
+def test_fglm_matches_oracles(case):
+    sys, lex_source = case
+    lex = MonomialOrder.lex(sys.ring.weights.weights)
+    gb = buchberger(sys, lex if lex_source else None)
+    try:
+        want = fglm_oracle.staircase(gb)
+    except PositiveDimensionError:
+        with pytest.raises(PositiveDimensionError):
+            staircase(gb)
+        with pytest.raises(PositiveDimensionError):
+            fglm_lex(gb)
+        return
+    assert staircase(gb) == want
+    with _counting_reduce_poly() as reduce_calls:
+        mats = multiplication_matrices(gb)
+    # a reduced basis needs no polynomial reduction
+    assert reduce_calls.call_count == 0
+    oracle = fglm_oracle.multiplication_matrices(gb)
+    assert all(M.dtype == np.int32 for M in mats)
+    assert [M.tolist() for M in mats] == [M.tolist() for M in oracle]
+    direct = gb if lex_source else buchberger(sys, lex)
+    assert [f.terms for f in fglm_lex(gb).polys] == [f.terms for f in direct.polys]
+
+
+def test_fglm_on_unreduced_basis():
+    # the same ideal and leading terms, but the last element is neither
+    # monic nor reduced: its tail holds another element's leading monomial
+    sys = random_w_homogeneous_system((2, 1, 1), (4, 4, 4), seed=5)
+    gb = buchberger(sys)
+    *rest, last = gb.polys
+    bent = (last + rest[0].scale(3)).scale(2)
+    assert bent.lm == last.lm and rest[0].lm in dict(bent.terms)
+    loose = GroebnerBasis(gb.ring, rest + [bent], False, gb.stats)
+    assert staircase(loose) == staircase(gb)
+    with _counting_reduce_poly() as reduce_calls:
+        mats = multiplication_matrices(loose)
+    assert reduce_calls.call_count > 0
+    assert [M.tolist() for M in mats] == [M.tolist() for M in multiplication_matrices(gb)]
+    assert [f.terms for f in fglm_lex(loose).polys] == [f.terms for f in fglm_lex(gb).polys]
