@@ -29,10 +29,9 @@ class HilbertSeries:
     answer beyond it.
     """
 
-    __slots__ = ("coeffs", "window", "polynomial", "numerator_degrees", "denominator_weights")
+    __slots__ = ("coeffs", "window", "polynomial")
 
-    def __init__(self, coeffs, window=None, polynomial=False,
-                 numerator_degrees=None, denominator_weights=None):
+    def __init__(self, coeffs, window=None, polynomial=False):
         coeffs = list(coeffs)
         if polynomial:
             while coeffs and coeffs[-1] == 0:
@@ -42,8 +41,6 @@ class HilbertSeries:
         if window is None:
             window = len(coeffs) - 1
         self.window = max(window, len(coeffs) - 1)
-        self.numerator_degrees = tuple(numerator_degrees) if numerator_degrees else None
-        self.denominator_weights = tuple(denominator_weights) if denominator_weights else None
 
     @property
     def degree(self):
@@ -67,9 +64,6 @@ class HilbertSeries:
 
     def coeffs_upto(self, N):
         return [self.coeff(d) for d in range(N + 1)]
-
-    def equals_upto(self, other, N):
-        return self.coeffs_upto(N) == other.coeffs_upto(N)
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
@@ -151,11 +145,8 @@ def expand_rational(degrees, weights, N=None):
         recon = _convolve(q, _numerator(W.weights))
         padded = num + [0] * (len(recon) - len(num))
         if recon == padded:
-            return HilbertSeries(q, window=max(N, delta), polynomial=True,
-                                 numerator_degrees=D, denominator_weights=W.weights)
-    return HilbertSeries(_divide_window(num, W.weights, N), window=N,
-                         polynomial=False, numerator_degrees=D,
-                         denominator_weights=W.weights)
+            return HilbertSeries(q, window=max(N, delta), polynomial=True)
+    return HilbertSeries(_divide_window(num, W.weights, N), window=N, polynomial=False)
 
 
 def series_delta(s):
@@ -186,9 +177,7 @@ def truncate_semiregular(s):
     limit = s.degree if s.polynomial else s.window
     for d in range(limit + 1):
         if s.coeff(d) <= 0:
-            return HilbertSeries(s.coeffs[:d], polynomial=True,
-                                 numerator_degrees=s.numerator_degrees,
-                                 denominator_weights=s.denominator_weights)
+            return HilbertSeries(s.coeffs[:d], polynomial=True)
     if s.polynomial:
         return s
     raise InsufficientWindowError(

@@ -1,12 +1,12 @@
 """Structural oracles and system generators.
 
-Regularity is decided by comparing the quotient Hilbert series against the
-rational product form; Noether position through the characterization
-"append the trailing variables and test regularity"; semi-regularity both
-by graded multiplication-map ranks (the definition) and by prefix Hilbert
-series truncation (certifying under reverse chain-divisible weights with
-degrees divisible by the top weight, advisory otherwise), the two read off
-the prefix Hilbert functions of a single signature run.
+Every verdict is read off the prefix Hilbert functions of signature runs
+(`engine.prefix_ideal_dims`).  Regularity compares the quotient's Hilbert
+function with the rational product form; Noether position appends the
+trailing variables and tests regularity; semi-regularity is decided both by
+graded multiplication-map ranks (the definition) and by prefix series
+truncation (certifying under reverse chain-divisible weights with degrees
+divisible by the top weight, advisory otherwise).
 """
 
 import random
@@ -24,8 +24,10 @@ from .monomial import (
 )
 from .order import MonomialOrder
 from .poly import PolyRing, PolySystem
-from .engine import buchberger, prefix_ideal_dims
+# buchberger is not called here; perfbench/tracing.py wraps this binding
+from .engine import buchberger, prefix_ideal_dims  # noqa: F401
 from .series import (
+    default_window,
     expand_rational,
     semiregular_truncation_degree,
     staircase_census,
@@ -85,67 +87,58 @@ def _wgrevlex_system(sys):
     return sys.with_order(order)
 
 
-def is_regular_sequence(sys, window=None):
-    """Quotient Hilbert series against the rational product form.
+def _hilbert_functions(sys, bounds, top):
+    """[h_0, .., h_m] with h_i(e) = dim (R/(f_1..f_i))_e for e up to
+    bounds[i-1] (h_0 up to top), all read off one signature run."""
+    free = staircase_census([], sys.ring.weights, top)
+    return [free] + [
+        [free[e] - dim for e, dim in enumerate(dims)]
+        for dims in prefix_ideal_dims(sys, bounds)[1:]
+    ]
 
-    Exact for m = n (the comparison window closes the staircase); for
-    m < n the verdict means "regular up to the window degree".
-    """
-    sys = _wgrevlex_system(sys)
-    sys.require_w_homogeneous()
-    W = sys.ring.weights
-    D = sys.degrees
-    m, n = sys.m, sys.n
-    if m > n:
-        raise ArityError("regularity is for m <= n systems")
-    if any(f.is_zero for f in sys.polys):
-        return RegularityVerdict(False, True, 0, (0, None, None))
-    square = m == n
-    if window is None:
-        if square:
-            window = max(0, sum(D) - W.total) + W.max + 1
-        else:
-            window = sum(D) + W.max + 1
-    expected = expand_rational(D, W, window)
-    gb = buchberger(sys)
-    got = staircase_census(gb.lt_monomials(), W, window)
-    want = expected.coeffs_upto(window)
+
+def _regularity_verdict(sys, window, h):
+    """Compare the quotient Hilbert function h up to the window with the
+    rational product form."""
+    square = sys.m == sys.n
+    got = h[: window + 1]
+    want = expand_rational(sys.degrees, sys.ring.weights, window).coeffs_upto(window)
     if got == want:
         return RegularityVerdict(True, square, window)
     d = next(i for i in range(window + 1) if got[i] != want[i])
     return RegularityVerdict(False, square, window, (d, got[d], want[d]))
 
 
-def is_noether_position(sys, method="extend"):
-    """Noether position w.r.t. the first m variables.
+def is_regular_sequence(sys, window=None):
+    """Quotient Hilbert function against the rational product form.
 
-    method "extend": append the trailing variables and test regularity of
-    the extended (zero-dimensional) sequence.  method "substitute": set
-    the trailing variables to zero and test regularity in m variables.
+    Exact for m = n (the comparison window closes the staircase); for
+    m < n the verdict means "regular up to the window degree".
     """
+    sys = _wgrevlex_system(sys)
+    sys.require_w_homogeneous()
+    if sys.m > sys.n:
+        raise ArityError("regularity is for m <= n systems")
+    if any(f.is_zero for f in sys.polys):
+        return RegularityVerdict(False, True, 0, (0, None, None))
+    if window is None:
+        window = default_window(sys.ring.weights, sys.degrees)
+    h = _hilbert_functions(sys, [window] * sys.m, window)
+    return _regularity_verdict(sys, window, h[-1])
+
+
+def is_noether_position(sys):
+    """Noether position w.r.t. the first m variables: the sequence extended
+    by the trailing variables X_{m+1}..X_n is regular."""
     sys = _wgrevlex_system(sys)
     sys.require_w_homogeneous()
     ring = sys.ring
     m, n = sys.m, sys.n
     if m > n:
         raise ArityError("Noether position is for m <= n systems")
-    if method == "extend":
-        if m == n:
-            return is_regular_sequence(sys)
-        polys = list(sys.polys) + [ring.gen(j) for j in range(m, n)]
-        degrees = tuple(sys.degrees) + tuple(ring.weights[j] for j in range(m, n))
-        return is_regular_sequence(PolySystem(ring, polys, degrees))
-    if method == "substitute":
-        Wm = as_weights(ring.weights.weights[:m])
-        sub = PolyRing(ring.field, Wm, MonomialOrder.wgrevlex(Wm), ring.names[:m])
-        polys = []
-        for f in sys.polys:
-            kept = {
-                e[:m]: c for e, c in f.terms if all(a == 0 for a in e[m:])
-            }
-            polys.append(sub.from_map(kept))
-        return is_regular_sequence(PolySystem(sub, polys, sys.degrees))
-    raise ValueError(f"unknown method {method!r}")
+    polys = list(sys.polys) + [ring.gen(j) for j in range(m, n)]
+    degrees = tuple(sys.degrees) + tuple(ring.weights[j] for j in range(m, n))
+    return is_regular_sequence(PolySystem(ring, polys, degrees))
 
 
 @dataclass(frozen=True)
@@ -160,16 +153,19 @@ class SnpVerdict:
 
 def is_snp(sys):
     """Simultaneous Noether position: every prefix in Noether position."""
-    sys = _wgrevlex_system(sys)
-    verdicts = []
-    failing = None
-    for i in range(1, sys.m + 1):
-        prefix = PolySystem(sys.ring, sys.polys[:i], sys.degrees[:i])
-        v = is_noether_position(prefix)
-        verdicts.append(v)
-        if not v and failing is None:
-            failing = i
-    return SnpVerdict(failing is None, failing, tuple(verdicts))
+    return _snp(_wgrevlex_system(sys))
+
+
+def _snp(sys, regular=None):
+    """SNP verdict; `regular`, when given, is the regularity verdict of the
+    prefix m = n, the whole square system."""
+    verdicts = tuple(
+        regular if regular is not None and i == sys.n
+        else is_noether_position(PolySystem(sys.ring, sys.polys[:i], sys.degrees[:i]))
+        for i in range(1, sys.m + 1)
+    )
+    failing = next((i for i, v in enumerate(verdicts, 1) if not v), None)
+    return SnpVerdict(failing is None, failing, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +200,12 @@ def is_semiregular(sys, d_max=None):
     one signature run (`prefix_ideal_dims`): the rank of multiplication by
     f_i from degree d is h_{i-1}(d + d_i) - h_i(d + d_i).
     """
-    sys = _wgrevlex_system(sys)
+    return _semiregular(_wgrevlex_system(sys), d_max)[0]
+
+
+def _semiregular(sys, d_max, window=0):
+    """The verdict of `is_semiregular` and the prefix Hilbert functions
+    [h_0, .., h_m] it is read from, each read up to the window at least."""
     sys.require_w_homogeneous()
     if any(f.is_zero for f in sys.polys):
         raise ValueError("zero polynomial in the sequence")
@@ -220,12 +221,8 @@ def is_semiregular(sys, d_max=None):
 
     # h_i is read up to d_max + d_i (multiplication by f_i) and, as the
     # domain side, up to d_max + d_{i+1}
-    bounds = [max(d_max + max(D[i - 1 : i + 1]), 0) for i in range(1, m + 1)]
-    free = staircase_census([], W, max(bounds, default=0))
-    h = [
-        [free[e] - dim for e, dim in enumerate(dims)]
-        for dims in prefix_ideal_dims(sys, bounds)
-    ]
+    bounds = [max(d_max + max(D[i - 1 : i + 1]), 0, window) for i in range(1, m + 1)]
+    h = _hilbert_functions(sys, bounds, max(bounds + [window]))
 
     first_failure = None
     for i in range(1, m + 1):
@@ -262,7 +259,7 @@ def is_semiregular(sys, d_max=None):
         and all(D[i] % W[0] == 0 for i in range(min(n, m)))
     )
     semiregular = None if (inconclusive and rank_ok) else rank_ok
-    return SemiregularVerdict(
+    verdict = SemiregularVerdict(
         semiregular=semiregular,
         rank_ok=rank_ok,
         series_ok=series_ok,
@@ -271,6 +268,7 @@ def is_semiregular(sys, d_max=None):
         truncation_degree=trunc,
         first_failure=first_failure,
     )
+    return verdict, h
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +419,7 @@ class StructureReport:
                 "verdict": self.regular.regular,
                 "certified": self.regular.certified,
                 "window": self.regular.window,
+                "first_mismatch": self.regular.first_mismatch,
             },
             "snp": None
             if self.snp is None
@@ -440,13 +439,19 @@ class StructureReport:
 
 
 def structure_report(sys, d_max=None):
+    """Every verdict of `StructureReport`.  Regularity and semi-regularity
+    are read off one shared signature run; SNP adds one run per prefix
+    shorter than n and takes the regularity verdict for the prefix m = n."""
     sys = _wgrevlex_system(sys)
     W = sys.ring.weights
     D = sys.degrees
     m, n = sys.m, sys.n
-    regular = is_regular_sequence(sys) if m <= n else None
-    snp = is_snp(sys) if m <= n else None
-    semi = is_semiregular(sys, d_max=d_max)
+    # reading every h_i up to the regularity window builds no extra row:
+    # the rows of every input are built that far for h_m anyway
+    window = default_window(W, D) if m <= n else 0
+    semi, h = _semiregular(sys, d_max, window)
+    regular = _regularity_verdict(sys, window, h[m]) if m <= n else None
+    snp = _snp(sys, regular) if m <= n else None
     return StructureReport(
         weights=W.weights,
         degrees=D,

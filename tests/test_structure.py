@@ -1,10 +1,17 @@
 """Structural oracles, divisibility proposition, generators."""
 
 import random
+from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import regularity_oracle
+import wgb.engine
+import wgb.structure
 from wgb import (
     PolyRing,
     PolySystem,
@@ -126,8 +133,8 @@ def test_np_characterizations_agree():
         m = rng.randrange(1, n + 1)
         D = tuple(w * rng.choice([1, 2]) for w in W[:m])
         sys = random_w_homogeneous_system(W, D, seed + 900)
-        a = is_noether_position(sys, method="extend").regular
-        b = is_noether_position(sys, method="substitute").regular
+        a = is_noether_position(sys).regular
+        b = regularity_oracle.noether_position_substitute(sys).regular
         assert a == b, (W, D, seed)
 
 
@@ -297,8 +304,8 @@ def test_inversion_top_components_noether():
         for f in tops
     ]
     sysT = PolySystem(permuted_ring, permuted)
-    assert is_noether_position(sysT, method="substitute").regular
-    assert is_noether_position(sysT, method="extend").regular
+    assert regularity_oracle.noether_position_substitute(sysT).regular
+    assert is_noether_position(sysT).regular
 
 
 def test_snp_implies_np_implies_regular():
@@ -326,6 +333,92 @@ def test_structure_report_round():
     assert d["regular"]["verdict"] is True
     assert d["snp"]["verdict"] is True
     assert d["semiregular"]["verdict"] is True
+    assert d["regular"]["first_mismatch"] is None
+
+
+def test_structure_report_names_first_mismatch():
+    R = ring((2, 5), names=("X", "Y"))
+    X, Y = R.gens()
+    sys = PolySystem(R, [X ** 2, X ** 4])
+    d = structure_report(sys).as_dict()
+    assert d["regular"]["verdict"] is False
+    # in degree 8 the quotient by (X^2) has no monomial (X^4 is the only
+    # one), and the product form's coefficient is -1
+    assert d["regular"]["first_mismatch"] == (8, 0, -1)
+
+
+def _counting(module, name):
+    """Patch module.<name> with a mock that counts its calls."""
+    return mock.patch.object(module, name, wraps=getattr(module, name))
+
+
+def test_structure_report_shares_one_run():
+    # one run for regularity and semi-regularity, one per SNP prefix
+    # shorter than n, and no Buchberger basis
+    sys = random_w_homogeneous_system((3, 2, 1), (6, 6, 6), seed=1)
+    with (
+        _counting(wgb.structure, "prefix_ideal_dims") as runs,
+        _counting(wgb.structure, "buchberger") as bases,
+        _counting(wgb.engine, "buchberger") as engine_bases,
+    ):
+        rep = structure_report(sys)
+    assert (runs.call_count, bases.call_count, engine_bases.call_count) == (3, 0, 0)
+    separate = replace(
+        rep,
+        regular=is_regular_sequence(sys),
+        snp=is_snp(sys),
+        semiregular=is_semiregular(sys),
+    )
+    assert rep == separate
+    assert rep.as_dict() == separate.as_dict()
+
+
+@st.composite
+def regularity_inputs(draw):
+    """W-homogeneous systems with n <= 3, weights 1 to 3, m <= n, at every
+    test modulus.  Half of them are made non-regular on purpose: one
+    polynomial repeats an earlier one, is a power of an earlier one, is
+    free of one variable, or is zero."""
+    n = draw(st.integers(1, 3))
+    W = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    m = draw(st.integers(1, n))
+    D = tuple(draw(st.integers(1, 6)) for _ in range(m))
+    assume(all(monomials_of_wdeg(W, d) for d in D))
+    p = draw(st.sampled_from([2, 3, 7, 65521, 2**31 - 1]))
+    sys = random_w_homogeneous_system(W, D, draw(st.integers(0, 10**6)), field=p)
+    polys, degrees = list(sys.polys), list(sys.degrees)
+    kind = draw(st.sampled_from(["generic", "repeat", "power", "free", "zero"]))
+    j = draw(st.integers(0, m - 1))
+    i = draw(st.integers(0, j))
+    if kind in ("repeat", "power") and i < j:
+        k = 1 if kind == "repeat" else draw(st.integers(2, 3))
+        polys[j], degrees[j] = polys[i] ** k, degrees[i] * k
+    elif kind == "free":
+        v = draw(st.integers(0, n - 1))
+        polys[j] = sys.ring.from_map({e: c for e, c in polys[j].terms if e[v] == 0})
+    elif kind == "zero":
+        polys[j] = sys.ring.zero()
+    return PolySystem(sys.ring, polys, degrees)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(regularity_inputs())
+def test_regularity_matches_oracle(sys):
+    assert is_regular_sequence(sys) == regularity_oracle.is_regular_sequence(sys)
+    snp = is_snp(sys)
+    assert (snp.snp, snp.first_failing_prefix) == regularity_oracle.snp_substitute(sys)
+    assert (
+        is_noether_position(sys).regular
+        == regularity_oracle.noether_position_substitute(sys).regular
+    )
+    if any(f.is_zero for f in sys.polys):
+        with pytest.raises(ValueError):
+            structure_report(sys)
+        return
+    rep = structure_report(sys)
+    assert rep.regular == is_regular_sequence(sys)
+    assert rep.snp == snp
+    assert rep.semiregular == is_semiregular(sys)
 
 
 def test_semiregular_matches_rank_oracle():
