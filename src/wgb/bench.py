@@ -23,23 +23,16 @@ def _entry(key, expected, computed, note=""):
     return out
 
 
-def measured_dreg(weights, degrees, seed, modulus=65521):
+def measured_dreg(weights, degrees, seed):
     """Observed degree of regularity of one dense random instance
     (matrix engine, Hilbert-driven stop)."""
-    sys = random_w_homogeneous_system(weights, degrees, seed, field=modulus)
+    sys = random_w_homogeneous_system(weights, degrees, seed)
     expected = expand_rational(degrees, weights)
     gb = matrix_gb_whomog(sys, expected_series=expected)
     return gb.stats.observed_dreg
 
 
-def dreg_majority(weights, degrees, seeds, modulus=65521):
-    """Majority observed dreg over several seeds, with the per-seed list."""
-    values = [measured_dreg(weights, degrees, s, modulus) for s in seeds]
-    best = max(set(values), key=values.count)
-    return best, values
-
-
-def run_table1(seeds=(1, 2, 3, 4, 5), modulus=65521):
+def run_table1(seeds=(1, 2, 3, 4, 5)):
     entries = []
     for row in fixtures.DREG_BY_WEIGHT_ORDER:
         W, D = row["weights"], row["degrees"]
@@ -49,7 +42,8 @@ def run_table1(seeds=(1, 2, 3, 4, 5), modulus=65521):
         entries.append(
             _entry(row["id"] + "/macaulay_snp", row["macaulay_snp"], macaulay_snp(W, D).value)
         )
-        best, values = dreg_majority(W, D, seeds, modulus)
+        values = [measured_dreg(W, D, s) for s in seeds]
+        best = max(set(values), key=values.count)  # the majority dreg
         hits = values.count(row["dreg"])
         entries.append(
             _entry(
@@ -62,7 +56,7 @@ def run_table1(seeds=(1, 2, 3, 4, 5), modulus=65521):
     return {"name": "table1", "entries": entries, "ok": all(e["match"] for e in entries)}
 
 
-def run_table2(full=False, budget_seconds=1800.0, modulus=65521, seed=1):
+def run_table2(full=False, budget_seconds=1800.0):
     entries = []
     for row in fixtures.ORDER_IMPACT:
         W, D = row["weights"], row["degrees"]
@@ -78,7 +72,7 @@ def run_table2(full=False, budget_seconds=1800.0, modulus=65521, seed=1):
         if full:
             deadline = time.monotonic() + budget_seconds
             try:
-                sys = random_w_homogeneous_system(W, D, seed, field=modulus)
+                sys = random_w_homogeneous_system(W, D, seed=1)
                 expected = expand_rational(D, W)
                 gb = matrix_gb_whomog(sys, expected_series=expected, deadline=deadline)
                 entries.append(

@@ -132,47 +132,16 @@ def sylvester_denumerant(d, weights):
     return dp[d]
 
 
-def hermite_polynomial_value(k, x):
-    """H_k(x) in the physicists' convention, rescaled to avoid overflow.
-
-    Only the sign and zero-pattern are meaningful.
-    """
-    h0, h1 = 1.0, 2.0 * x
-    if k == 0:
-        return h0
-    for j in range(1, k):
-        h0, h1 = h1, 2.0 * x * h1 - 2.0 * j * h0
-        scale = max(abs(h0), abs(h1))
-        if scale > 1e100:
-            h0 /= scale
-            h1 /= scale
-    return h1
-
-
-def hermite_largest_root(k, tol=1e-12):
-    """Largest root of the k-th physicists' Hermite polynomial by bisection.
-
-    Roots strictly interlace, so the largest root of H_k is bracketed
-    between the largest root of H_{k-1} (where H_k is negative) and
-    sqrt(2k+1) (where it is positive).  H_1 = 2x seeds the induction.
-    """
+def hermite_largest_root(k):
+    """Largest root of the k-th physicists' Hermite polynomial."""
     if k <= 0:
         raise ValueError("k must be >= 1")
-    root = 0.0
-    for j in range(2, k + 1):
-        a, b = root, sqrt(2.0 * j + 1.0)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = hermite_polynomial_value(j, mid)
-            if fm == 0.0 or (b - a) < tol:
-                a = b = mid
-                break
-            if fm < 0:
-                a = mid
-            else:
-                b = mid
-        root = 0.5 * (a + b)
-    return root
+    # imported here: numpy.polynomial adds to the import time of every
+    # command, and only the asymptotic estimates need it
+    from numpy.polynomial.hermite import hermroots
+
+    # the roots are symmetric about 0; abs() turns H_1's root -0.0 into 0.0
+    return abs(float(hermroots([0] * k + [1])[-1]))
 
 
 def asymptotic_dreg(n, k, d0, w0):
@@ -186,15 +155,6 @@ def asymptotic_dreg(n, k, d0, w0):
     return n * (d0 - w0) / 2.0 - alpha * sqrt(n * (d0 * d0 - w0 * w0) / 6.0)
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    omega: float = 3.0
-
-    def __post_init__(self):
-        if not 2.0 <= self.omega <= 3.0:
-            raise ValueError("omega must lie in [2, 3]")
-
-
 def _float_pow(base, exponent):
     if base <= 0:
         return 0.0
@@ -205,19 +165,21 @@ def _float_pow(base, exponent):
         return float("inf") if l > 700.0 else exp(l)
 
 
-def estimate_costs(weights, dreg, deg, cfg=None):
+def estimate_costs(weights, dreg, deg, omega=3.0):
     """Matrix width at dreg, F5 cost, its closed-form surrogate, FGLM cost.
 
     The F5 cost is matrix_size^omega; the surrogate replaces the exact
     denumerant by binom(n+dreg-1, dreg) / prod(w_i); FGLM costs n*deg^omega.
+    omega is the linear-algebra exponent, in [2, 3].
     """
-    cfg = cfg or EstimatorConfig()
+    if not 2.0 <= omega <= 3.0:
+        raise ValueError("omega must lie in [2, 3]")
     W = as_weights(weights)
     n = len(W)
     matrix_size = sylvester_denumerant(dreg, W)
-    c_f5 = _float_pow(matrix_size, cfg.omega)
-    surrogate = _float_pow(comb(n + dreg - 1, dreg) / W.product, cfg.omega)
-    c_fglm = n * _float_pow(deg, cfg.omega)
+    c_f5 = _float_pow(matrix_size, omega)
+    surrogate = _float_pow(comb(n + dreg - 1, dreg) / W.product, omega)
+    c_fglm = n * _float_pow(deg, omega)
     return c_f5, c_fglm, matrix_size, surrogate
 
 
@@ -245,10 +207,9 @@ class BoundsReport:
     asymptotic_dreg: Optional[float] = None
 
 
-def bounds_report(weights, degrees, cfg=None, k_extra=None):
+def bounds_report(weights, degrees, omega=3.0, k_extra=None):
     """Assemble the full report; asymptotics only for the equal-degree
     (w0,..,w0,1) pattern, where k_extra counts equations beyond n."""
-    cfg = cfg or EstimatorConfig()
     W, D = _check_square(weights, degrees)
     snp = macaulay_snp(W, D)
     dreg = conjectured_dreg(W, D)
@@ -258,7 +219,7 @@ def bounds_report(weights, degrees, cfg=None, k_extra=None):
         frob = frobenius_number(W)
     bez = weighted_bezout(W, D)
     c_f5, c_fglm, width, surrogate = estimate_costs(
-        W, dreg, int(bez) if bez.denominator == 1 else float(bez), cfg
+        W, dreg, int(bez) if bez.denominator == 1 else float(bez), omega
     )
     alpha = None
     asym = None
@@ -281,7 +242,7 @@ def bounds_report(weights, degrees, cfg=None, k_extra=None):
         frobenius_g=frob,
         bezout_degree=bez,
         denumerant_at_dreg=width,
-        omega=cfg.omega,
+        omega=omega,
         c_f5=c_f5,
         c_f5_surrogate=surrogate,
         c_fglm=c_fglm,

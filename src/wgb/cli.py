@@ -2,19 +2,19 @@
 
 Subcommands: gen, gb, hilbert, bounds, structure, fglm, invert, bench.
 Every report-producing command accepts --json; the default is an
-indented key-value rendering.  WGB_MODULUS sets the default field.
+indented key-value rendering.
 """
 
 import argparse
 import json
-import os
 import sys as _sys
 from fractions import Fraction
 
 from .bench import RUNNERS
-from .bounds import EstimatorConfig, bounds_report
+from .bounds import bounds_report
 from .engine import buchberger, elimination_gb, gb_via_homw, matrix_gb_whomog
 from .errors import EmptySupportError, IncompleteBasisError
+from .field import DEFAULT_MODULUS
 from .fglm import fglm_lex, staircase
 from .order import MonomialOrder
 from .series import expand_rational, ideal_degree, quotient_hilbert_series, truncate_semiregular
@@ -25,10 +25,6 @@ from .structure import (
     structure_report,
 )
 from .sysio import format_polynomial, load_system, render_report, write_system
-
-
-def _default_modulus():
-    return int(os.environ.get("WGB_MODULUS", "65521"))
 
 
 def _ints(text):
@@ -149,7 +145,7 @@ def cmd_hilbert(args):
 
 def cmd_bounds(args):
     W, D = _ints(args.weights), _ints(args.degrees)
-    rep = bounds_report(W, D, EstimatorConfig(args.omega), k_extra=args.k_extra)
+    rep = bounds_report(W, D, omega=args.omega, k_extra=args.k_extra)
     data = {
         "weights": list(rep.weights),
         "degrees": list(rep.degrees),
@@ -236,7 +232,7 @@ def build_parser():
     g.add_argument("--degrees", required=True)
     g.add_argument("--affine", action="store_true")
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--modulus", type=int, default=_default_modulus())
+    g.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 

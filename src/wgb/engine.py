@@ -93,9 +93,6 @@ class GroebnerBasis:
     def reduce(self, f):
         return reduce_poly(f, self.polys)
 
-    def contains(self, f):
-        return self.reduce(f).is_zero
-
     def spolynomial_audit(self):
         """Buchberger criterion: every S-polynomial reduces to zero."""
         G = self.polys
@@ -159,15 +156,14 @@ def reduce_basis(gb):
     return GroebnerBasis(gb.ring, polys, True, replace(gb.stats))
 
 
-def buchberger(sys, order=None):
-    """Buchberger with lowest-weighted-degree-first pair selection.
+def buchberger(sys):
+    """Buchberger with lowest-weighted-degree-first pair selection, under
+    the order of the system's ring.
 
     Applies the coprime-leading-term and chain criteria; the observed
     degree of regularity is the largest weighted degree of the lcm over
     pairs that were actually reduced.
     """
-    if order is not None:
-        sys = sys.with_order(order)
     ring = sys.ring
     okey = ring.order.key
     ws = ring.weights
@@ -390,7 +386,10 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
             complete = True
             break
 
-    polys = _interreduce(ring, run.basis)
+    # each harvested row is already reduced: it is a row of the reduced
+    # echelon form of a matrix spanning I_d, so it is monic and its tail
+    # lies on non-pivot columns, the monomials outside LT(I)
+    polys = sorted(run.basis, key=lambda f: ring.order.key(f.lm))
     gb = GroebnerBasis(ring, polys, True, run.stats)
     if complete:
         return gb

@@ -1,7 +1,5 @@
 """Arithmetic over a prime field GF(p), p a prime below 2^31."""
 
-from .errors import FieldMismatchError
-
 DEFAULT_MODULUS = 65521
 # every product of two residues fits in int64 with room for one addition,
 # which the row loop and the mod-p steps of wgb.linalg rely on; its
@@ -56,18 +54,8 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in prime field")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def check_same(self, other):
-        if self != other:
-            raise FieldMismatchError(f"field mismatch: {self} vs {other}")

@@ -96,14 +96,6 @@ def mono_lcm(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def mono_gcd(u, v):
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
-def is_unit(u):
-    return all(a == 0 for a in u)
-
-
 def divisors(u):
     """All divisors of u (exponentwise boxes).  Desk scale only."""
     out = [()]

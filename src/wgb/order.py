@@ -12,7 +12,7 @@ tuples of the right arity; `compare` validates.
 """
 
 from .errors import DimensionError
-from .monomial import WeightSystem, as_weights, wdeg
+from .monomial import WeightSystem, as_weights
 
 WGREVLEX = "wgrevlex"
 LEX = "lex"
@@ -128,12 +128,3 @@ class MonomialOrder:
         if ku > kv:
             return 1
         return 0
-
-    def sort_desc(self, monomials):
-        return sorted(monomials, key=self.key, reverse=True)
-
-    def sort_asc(self, monomials):
-        return sorted(monomials, key=self.key)
-
-    def wdeg(self, exps):
-        return wdeg(exps, self.weights)

@@ -91,13 +91,6 @@ class PolyRing:
         )
         return Polynomial(self, terms)
 
-    def from_terms(self, pairs):
-        acc = {}
-        for e, c in pairs:
-            e = tuple(e)
-            acc[e] = acc.get(e, 0) + c
-        return self.from_map(acc)
-
 
 class Polynomial:
     """Immutable normalized polynomial: terms sorted leading-first, no zeros."""
@@ -128,10 +121,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
-
-    @property
-    def lt(self):
-        return self.terms[0]
 
     def coeff_map(self):
         return {e: c for e, c in self.terms}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ArityError, EmptySupportError, InsufficientWindowError
-from .field import PrimeField
+from .field import DEFAULT_MODULUS
 from .monomial import (
     as_weights,
     divisors,
@@ -109,21 +109,23 @@ def _regularity_verdict(sys, window, h):
     return RegularityVerdict(False, square, window, (d, got[d], want[d]))
 
 
-def is_regular_sequence(sys, window=None):
-    """Quotient Hilbert function against the rational product form.
+def is_regular_sequence(sys):
+    """Quotient Hilbert function against the rational product form over all
+    declared degrees, on `series.default_window`.
 
     Exact for m = n (the comparison window closes the staircase); for
-    m < n the verdict means "regular up to the window degree".
+    m < n the verdict means "regular up to the window degree".  Zero
+    polynomials generate nothing, so h is read off the nonzero ones (the
+    free census when there are none).
     """
     sys = _wgrevlex_system(sys)
     sys.require_w_homogeneous()
     if sys.m > sys.n:
         raise ArityError("regularity is for m <= n systems")
-    if any(f.is_zero for f in sys.polys):
-        return RegularityVerdict(False, True, 0, (0, None, None))
-    if window is None:
-        window = default_window(sys.ring.weights, sys.degrees)
-    h = _hilbert_functions(sys, [window] * sys.m, window)
+    window = default_window(sys.ring.weights, sys.degrees)
+    kept = [(f, d) for f, d in zip(sys.polys, sys.degrees) if f]
+    nonzero = PolySystem(sys.ring, [f for f, _ in kept], [d for _, d in kept])
+    h = _hilbert_functions(nonzero, [window] * nonzero.m, window)
     return _regularity_verdict(sys, window, h[-1])
 
 
@@ -275,16 +277,10 @@ def _semiregular(sys, d_max, window=0):
 # generators
 # ---------------------------------------------------------------------------
 
-def _make_ring(field, weights, names=None):
-    W = as_weights(weights)
-    field = field if isinstance(field, PrimeField) else PrimeField(field or 65521)
-    return PolyRing(field, W, MonomialOrder.wgrevlex(W), names)
-
-
-def random_w_homogeneous_system(weights, degrees, seed, field=None, names=None):
+def random_w_homogeneous_system(weights, degrees, seed, field=DEFAULT_MODULUS):
     """Dense support on all monomials of weighted degree exactly d_i,
     uniform nonzero coefficients, deterministic under (seed, W, D, p)."""
-    ring = _make_ring(field, weights, names)
+    ring = PolyRing(field, weights)
     W, p = ring.weights, ring.field.p
     D = tuple(degrees)
     rng = random.Random(f"wgb-hom|{p}|{W.weights}|{D}|{seed}")
@@ -300,9 +296,9 @@ def random_w_homogeneous_system(weights, degrees, seed, field=None, names=None):
     return PolySystem(ring, polys, D)
 
 
-def random_affine_system(weights, degrees, seed, field=None, names=None):
+def random_affine_system(weights, degrees, seed, field=DEFAULT_MODULUS):
     """Dense support on all monomials of weighted degree <= d_i."""
-    ring = _make_ring(field, weights, names)
+    ring = PolyRing(field, weights)
     W, p = ring.weights, ring.field.p
     D = tuple(degrees)
     rng = random.Random(f"wgb-aff|{p}|{W.weights}|{D}|{seed}")
@@ -320,13 +316,13 @@ def random_affine_system(weights, degrees, seed, field=None, names=None):
     return PolySystem(ring, polys, D)
 
 
-def froberg_sequence(weights, degrees, d_extra, field=None, names=None):
+def froberg_sequence(weights, degrees, d_extra):
     """(X_1^(d_1/w_1), .., X_n^(d_n/w_n), (X_1 + X_2^(w_1/w_2) + .. + X_n^(w_1/w_n))^(d_extra/w_1)).
 
     Needs reverse chain-divisible weights, strongly compatible degrees and
     w_1 | d_extra.
     """
-    ring = _make_ring(field, weights, names)
+    ring = PolyRing(DEFAULT_MODULUS, weights)
     W = ring.weights
     D = tuple(degrees)
     n = ring.n
@@ -352,7 +348,7 @@ def froberg_sequence(weights, degrees, d_extra, field=None, names=None):
     return PolySystem(ring, polys, D + (d_extra,))
 
 
-def inversion_system(f_list, tag_names=None):
+def inversion_system(f_list):
     """Tagged system (T_i - f_i) with weights (1,..,1, deg f_1,.., deg f_m).
 
     The tag variables are appended after the original ones; by the weight
@@ -370,9 +366,7 @@ def inversion_system(f_list, tag_names=None):
         if d < 1:
             raise ValueError("inversion inputs must have total degree >= 1")
         degs.append(d)
-    names = base.names + tuple(
-        tag_names[i] if tag_names else f"T{i+1}" for i in range(m)
-    )
+    names = base.names + tuple(f"T{i+1}" for i in range(m))
     W = as_weights((1,) * n + tuple(degs))
     ring = PolyRing(base.field, W, MonomialOrder.wgrevlex(W), names)
     polys = []

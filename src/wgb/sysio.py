@@ -14,9 +14,8 @@ each a '*'-separated product of integer constants and powers NAME^INT.
 
 import re
 
-from .field import PrimeField
+from .field import DEFAULT_MODULUS, PrimeField
 from .monomial import WeightSystem
-from .order import MonomialOrder
 from .poly import PolyRing, PolySystem
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
@@ -144,7 +143,7 @@ def write_system(sys):
     return "\n".join(lines) + "\n"
 
 
-def parse_system(text, order=None):
+def parse_system(text):
     p = None
     names = None
     weights = None
@@ -170,9 +169,8 @@ def parse_system(text, order=None):
         raise SystemFormatError(
             f"{len(names)} variables but {len(weights)} weights"
         )
-    field = PrimeField(p if p is not None else 65521)
-    W = WeightSystem(weights)
-    ring = PolyRing(field, W, order or MonomialOrder.wgrevlex(W), names)
+    field = PrimeField(p if p is not None else DEFAULT_MODULUS)
+    ring = PolyRing(field, WeightSystem(weights), names=names)
     polys = []
     for lineno, expr in poly_lines:
         try:
@@ -182,14 +180,9 @@ def parse_system(text, order=None):
     return PolySystem(ring, polys)
 
 
-def load_system(path, order=None):
+def load_system(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read(), order=order)
-
-
-def save_system(sys, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_system(sys))
+        return parse_system(fh.read())
 
 
 def render_report(data, indent=0):

@@ -27,11 +27,11 @@ def image_ring(ring):
     return PolyRing(ring.field, WeightSystem.trivial(ring.n), _image_order(ring.order), ring.names)
 
 
-def hom_w(f, weights=None):
+def hom_w(f):
     """Substitute X_i -> t_i^(w_i); indices are reused for the image variables."""
     ring = f.ring
-    ws = as_weights(weights) if weights is not None else ring.weights
-    target = image_ring(PolyRing(ring.field, ws, ring.order, ring.names))
+    ws = ring.weights
+    target = image_ring(ring)
     terms = {}
     for e, c in f.terms:
         image = tuple(a * w for a, w in zip(e, ws))
@@ -70,7 +70,7 @@ def hom_w_system(sys):
     return PolySystem(ring, [hom_w(f) for f in sys.polys], sys.degrees)
 
 
-def w_homogenize_affine(f, weights=None, hname="H"):
+def w_homogenize_affine(f):
     """Homogenize with a weight-1 variable appended last.
 
     The output is homogeneous for (w_1..w_n, 1) of weighted degree equal to
@@ -78,9 +78,9 @@ def w_homogenize_affine(f, weights=None, hname="H"):
     back.
     """
     ring = f.ring
-    ws = as_weights(weights) if weights is not None else ring.weights
+    ws = ring.weights
     wh = WeightSystem(ws.weights + (1,))
-    target = PolyRing(ring.field, wh, MonomialOrder.wgrevlex(wh), ring.names + (hname,))
+    target = PolyRing(ring.field, wh, MonomialOrder.wgrevlex(wh), ring.names + ("H",))
     if f.is_zero:
         return target.zero()
     d = f.wdeg()
@@ -91,10 +91,10 @@ def w_homogenize_affine(f, weights=None, hname="H"):
     return target.from_map(terms)
 
 
-def dehomogenize(fh, weights=None):
+def dehomogenize(fh):
     """Drop the last variable (set it to 1), returning to the affine ring."""
     ring = fh.ring
-    ws = as_weights(weights) if weights is not None else WeightSystem(ring.weights.weights[:-1])
+    ws = WeightSystem(ring.weights.weights[:-1])
     target = PolyRing(ring.field, ws, MonomialOrder.wgrevlex(ws), ring.names[:-1])
     acc = {}
     for e, c in fh.terms:
@@ -115,17 +115,9 @@ def w_homogeneous_components(f, weights=None):
     return {d: ring.from_map(m) for d, m in sorted(buckets.items())}
 
 
-def top_component(f, weights=None):
+def top_component(f):
     """The component of maximal weighted degree (zero for the zero input)."""
-    comps = w_homogeneous_components(f, weights)
+    comps = w_homogeneous_components(f)
     if not comps:
         return f.ring.zero()
     return comps[max(comps)]
-
-
-def is_w_homogeneous(f, weights=None):
-    if f.is_zero:
-        return True
-    ws = as_weights(weights) if weights is not None else f.ring.weights
-    degs = {wdeg(e, ws) for e, _ in f.terms}
-    return len(degs) == 1

@@ -28,8 +28,6 @@ def is_regular_sequence(sys, window=None):
     m, n = sys.m, sys.n
     if m > n:
         raise ArityError("regularity is for m <= n systems")
-    if any(f.is_zero for f in sys.polys):
-        return RegularityVerdict(False, True, 0, (0, None, None))
     square = m == n
     if window is None:
         if square:

@@ -138,7 +138,7 @@ def criterion_4():
         if len(staircase(gb)) != weighted_bezout(W, D):
             return False, f"staircase size vs Bezout for {W}/{D}"
         lex_gb = fglm_lex(gb)
-        direct = buchberger(sys, order=MonomialOrder.lex(W))
+        direct = buchberger(sys.with_order(MonomialOrder.lex(W)))
         if [g.terms for g in lex_gb.polys] != [g.terms for g in direct.polys]:
             return False, f"lex bases differ for {W}/{D}"
         done += 1

@@ -7,7 +7,6 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from wgb import (
-    EstimatorConfig,
     asymptotic_dreg,
     bounds_report,
     conjectured_dreg,
@@ -176,10 +175,12 @@ def test_estimate_costs():
     assert abs(s2 - s1 / 8 ** 3) < 1e-6 * s1
 
 
-def test_estimator_config_validation():
+def test_omega_validation():
     with pytest.raises(ValueError):
-        EstimatorConfig(1.5)
-    assert EstimatorConfig(2.376).omega == 2.376
+        estimate_costs((1, 1, 1), 5, 10, omega=1.5)
+    with pytest.raises(ValueError):
+        bounds_report((2, 1), (4, 4), omega=3.5)
+    assert bounds_report((2, 1), (4, 4), omega=2.376).omega == 2.376
 
 
 def test_bounds_report_assembly():

@@ -272,6 +272,23 @@ def _interreduce_inputs(monkeypatch, run):
     return seen
 
 
+def _matrix_harvest(monkeypatch, sys):
+    """The matrix engine's basis for sys and the rows it harvested."""
+    import wgb.engine as engine
+
+    runs = []
+
+    class Recorded(engine._MatrixRun):
+        def __init__(self, sys):
+            super().__init__(sys)
+            runs.append(self)
+
+    monkeypatch.setattr(engine, "_MatrixRun", Recorded)
+    gb = matrix_gb_whomog(sys)
+    monkeypatch.undo()
+    return gb, list(runs[0].basis)
+
+
 def _random_generating_sets(rng, count):
     """Small sparse sets over tiny fields: rarely a Groebner basis, with
     repeated leading monomials and leading monomials that drop."""
@@ -307,9 +324,13 @@ def test_interreduce_matches_fixpoint_oracle(monkeypatch):
             continue
         lex = MonomialOrder.lex(W)
         cases += _interreduce_inputs(monkeypatch, lambda: buchberger(sys))
-        cases += _interreduce_inputs(monkeypatch, lambda: buchberger(sys, lex))
+        cases += _interreduce_inputs(monkeypatch, lambda: buchberger(sys.with_order(lex)))
         cases += _interreduce_inputs(monkeypatch, lambda: elimination_gb(sys, 1))
-        cases += _interreduce_inputs(monkeypatch, lambda: matrix_gb_whomog(sys))
+        # the harvested rows are already reduced: the engine only sorts them
+        gb, harvest = _matrix_harvest(monkeypatch, sys)
+        want = interreduce_fixpoint(sys.ring, harvest)
+        assert [f.terms for f in gb.polys] == [f.terms for f in want], (W, D, seed)
+        cases.append((sys.ring, harvest))
         # the inputs themselves are generating sets that are not bases
         cases.append((sys.ring, list(sys.polys)))
         lex_sys = sys.with_order(lex)
@@ -350,6 +371,13 @@ def _eliminate_through_oracle(monkeypatch):
 
     def oracle(A, p):
         lead, kept = eliminate_rows(A, p)
+        # the engine harvests reduced rows, as row_echelon returns them: clear
+        # each pivot column in the other kept rows, the last pivot first
+        piv = [j for j in lead if j >= 0]
+        for k in sorted(range(len(kept)), key=piv.__getitem__, reverse=True):
+            for i in range(len(kept)):
+                if i != k and kept[i][piv[k]]:
+                    kept[i] = (kept[i] - int(kept[i][piv[k]]) * kept[k]) % p
         return np.array(lead, dtype=np.int64), np.array(kept, dtype=np.int64).reshape(-1, A.shape[1])
 
     monkeypatch.setattr(engine, "row_echelon", oracle)

@@ -112,7 +112,7 @@ def test_fglm_already_lex_shaped():
     sys = PolySystem(R, [X - R.const(1), Y - R.const(2)])
     gb = buchberger(sys)
     lex_gb = fglm_lex(gb)
-    direct = buchberger(sys, order=MonomialOrder.lex((1, 1)))
+    direct = buchberger(sys.with_order(MonomialOrder.lex((1, 1))))
     assert [g.terms for g in lex_gb.polys] == [g.terms for g in direct.polys]
 
 
@@ -128,7 +128,7 @@ def test_fglm_matches_direct_lex():
     for sys, W, D in zero_dim_samples(25, rng):
         gb = buchberger(sys)
         lex_gb = fglm_lex(gb)
-        direct = buchberger(sys, order=MonomialOrder.lex(W))
+        direct = buchberger(sys.with_order(MonomialOrder.lex(W)))
         assert [g.terms for g in lex_gb.polys] == [g.terms for g in direct.polys], (W, D)
         assert lex_gb.spolynomial_audit()
         assert len(staircase(lex_gb)) == len(staircase(gb))
@@ -141,7 +141,7 @@ def test_fglm_affine_system():
     sys = PolySystem(R, [X ** 2 + Y - R.const(3), Y ** 2 - X])
     gb = buchberger(sys)
     lex_gb = fglm_lex(gb)
-    direct = buchberger(sys, order=MonomialOrder.lex((1, 1)))
+    direct = buchberger(sys.with_order(MonomialOrder.lex((1, 1))))
     assert [g.terms for g in lex_gb.polys] == [g.terms for g in direct.polys]
 
 
@@ -166,7 +166,7 @@ def test_fglm_exact_at_every_supported_modulus(p):
     sys = random_w_homogeneous_system((1, 1, 1), (3, 3, 4), seed=3, field=p)
     gb = buchberger(sys)
     assert len(staircase(gb)) == 36
-    direct = buchberger(sys, MonomialOrder.lex((1, 1, 1)))
+    direct = buchberger(sys.with_order(MonomialOrder.lex((1, 1, 1))))
     assert [f.terms for f in fglm_lex(gb).polys] == [f.terms for f in direct.polys]
 
 
@@ -241,7 +241,7 @@ def fglm_inputs(draw):
 def test_fglm_matches_oracles(case):
     sys, lex_source = case
     lex = MonomialOrder.lex(sys.ring.weights.weights)
-    gb = buchberger(sys, lex if lex_source else None)
+    gb = buchberger(sys.with_order(lex) if lex_source else sys)
     try:
         want = fglm_oracle.staircase(gb)
     except PositiveDimensionError:
@@ -258,7 +258,7 @@ def test_fglm_matches_oracles(case):
     oracle = fglm_oracle.multiplication_matrices(gb)
     assert all(M.dtype == np.int32 for M in mats)
     assert [M.tolist() for M in mats] == [M.tolist() for M in oracle]
-    direct = gb if lex_source else buchberger(sys, lex)
+    direct = gb if lex_source else buchberger(sys.with_order(lex))
     assert [f.terms for f in fglm_lex(gb).polys] == [f.terms for f in direct.polys]
 
 

@@ -36,6 +36,7 @@ from wgb import (
 from wgb.engine import buchberger, elimination_gb
 from wgb.errors import ArityError, EmptySupportError
 from wgb.monomial import monomials_of_wdeg, monomials_of_wdeg_at_most
+from wgb.structure import RegularityVerdict
 
 
 def ring(weights, names=None):
@@ -103,6 +104,21 @@ def test_regular_sequence_examples():
         for ks in product((1, 2), repeat=len(W)):
             polys = [g ** k for g, k in zip(Rn.gens(), ks)]
             assert is_regular_sequence(PolySystem(Rn, polys)).regular
+
+
+def test_regular_sequence_with_zero_polynomial():
+    # a zero polynomial generates nothing: h is read off the nonzero ones and
+    # compared with the product form over every declared degree
+    R = ring((1, 1, 1))
+    X = R.gen(0)
+    sys = PolySystem(R, [X ** 2, R.zero()], (2, 3))
+    assert is_regular_sequence(sys) == RegularityVerdict(False, False, 7, (3, 7, 6))
+    assert regularity_oracle.is_regular_sequence(sys) == is_regular_sequence(sys)
+    # with no nonzero polynomial, h is the free census
+    R2 = ring((1, 1))
+    only_zero = PolySystem(R2, [R2.zero()], (2,))
+    assert is_regular_sequence(only_zero) == RegularityVerdict(False, False, 4, (2, 3, 2))
+    assert regularity_oracle.is_regular_sequence(only_zero) == is_regular_sequence(only_zero)
 
 
 def test_generic_systems_regular():

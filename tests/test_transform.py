@@ -10,7 +10,6 @@ from wgb import (
     dehomogenize,
     hom_w,
     hom_w_inverse,
-    is_w_homogeneous,
     w_homogeneous_components,
     w_homogenize_affine,
 )
@@ -139,6 +138,6 @@ def test_top_component_is_homogenization_at_h_zero():
 def test_is_w_homogeneous_examples():
     R = PolyRing(PrimeField(7), (2, 1))
     x, y = R.gens()
-    assert is_w_homogeneous(R.zero())
-    assert is_w_homogeneous(x + y ** 2)
-    assert not is_w_homogeneous(x + y)
+    assert R.zero().is_w_homogeneous()
+    assert (x + y ** 2).is_w_homogeneous()
+    assert not (x + y).is_w_homogeneous()
