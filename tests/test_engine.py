@@ -1,8 +1,12 @@
 """Groebner engines: Buchberger, matrix variant, pullback strategy, elimination."""
 
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgb import (
     MonomialOrder,
@@ -17,13 +21,13 @@ from wgb import (
     macaulay_snp,
     macaulay_weak,
     matrix_gb_whomog,
-    reduce_basis,
     spoly,
     weighted_bezout,
 )
 from wgb.engine import prefix_ideal_dims
 from wgb.errors import EmptySupportError, IncompleteBasisError, NotWHomogeneousError
 from wgb.fglm import staircase
+from wgb.monomial import monomials_of_wdeg
 from wgb.structure import is_regular_sequence, is_snp, random_w_homogeneous_system
 
 
@@ -48,7 +52,6 @@ def test_snp_example_basis_content():
     gb = buchberger(PolySystem(R, [X ** 2 + Y ** 3, X * Y]))
     assert sorted(str(g) for g in gb.polys) == ["X*Y", "X^2 + Y^3", "Y^4"]
     assert gb.spolynomial_audit()
-    assert gb.reduced
 
 
 def test_regular_system_staircase_size():
@@ -107,24 +110,15 @@ def test_matrix_matches_buchberger():
         assert [g.terms for g in gb1.polys] == [g.terms for g in gb2.polys]
 
 
-def test_reduce_basis_interreduction():
-    R = ring((1, 1))
-    x, y = R.gens()
-    from wgb.engine import GBStats, GroebnerBasis
-
-    raw = GroebnerBasis(
-        R.with_order(MonomialOrder.lex((1, 1))),
-        [
-            R.with_order(MonomialOrder.lex((1, 1))).from_map({(1, 0): 1}),
-            R.with_order(MonomialOrder.lex((1, 1))).from_map({(1, 0): 1, (0, 1): 1}),
-        ],
-        False,
-        GBStats(),
-    )
-    red = reduce_basis(raw)
-    assert sorted(str(g) for g in red.polys) == ["X1", "X2"]
-    red2 = reduce_basis(red)
-    assert [g.terms for g in red2.polys] == [g.terms for g in red.polys]
+def test_matrix_engine_window_missing_an_input_is_incomplete():
+    # W = (2,), D = (4, 4): the series 1 + T^2 - T^4 .. is truncated at its
+    # zero coefficient of degree 1, so the window ends at degree 2 and
+    # builds no row.  The empty harvest passes the S-polynomial audit, but
+    # the inputs do not reduce to zero modulo it.
+    sys = random_w_homogeneous_system((2,), (4, 4), seed=1, field=7)
+    with pytest.raises(IncompleteBasisError, match="input unreduced"):
+        matrix_gb_whomog(sys)
+    assert [str(g) for g in buchberger(sys).polys] == ["X1^2"]
 
 
 def test_reduced_basis_unique_across_pair_orders():
@@ -157,6 +151,63 @@ def test_gb_via_homw_equivalence():
         direct = buchberger(sys)
         pulled = gb_via_homw(sys)
         assert [g.terms for g in direct.polys] == [g.terms for g in pulled.polys]
+
+
+def test_gb_via_homw_keeps_the_order_of_the_ring():
+    # the image is computed under lex and pulls back to the lex basis, not
+    # to a relabelled one
+    sys = random_w_homogeneous_system((2, 1, 1), (4, 4, 4), seed=1)
+    lex_sys = sys.with_order(MonomialOrder.lex((2, 1, 1)))
+    pulled = gb_via_homw(lex_sys)
+    assert pulled.ring == lex_sys.ring
+    assert pulled.order.kind == "lex"
+    assert pulled.spolynomial_audit()
+    direct = buchberger(lex_sys)
+    assert [g.terms for g in pulled.polys] == [g.terms for g in direct.polys]
+    assert len(pulled.polys) == 11
+    assert len(buchberger(sys).polys) == 9
+
+
+@st.composite
+def _cross_engine_systems(draw):
+    """Weighted homogeneous systems with n <= 3, weights 1 to 3 and degrees
+    up to 6, square or with one extra equation, at every test modulus."""
+    n = draw(st.integers(1, 3))
+    W = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    D = tuple(draw(st.integers(2, 6)) for _ in range(n + draw(st.integers(0, 1))))
+    assume(all(monomials_of_wdeg(W, d) for d in D))
+    assume(math.prod(sorted(D)[:n]) <= 24)
+    p = draw(st.sampled_from([2, 3, 7, 65521, 2**31 - 1]))
+    return random_w_homogeneous_system(W, D, draw(st.integers(0, 10**6)), field=p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_cross_engine_systems())
+def test_engines_agree_term_for_term(sys):
+    from interreduce_oracle import interreduce_fixpoint
+
+    import wgb.engine as engine
+
+    terms = lambda gb: [g.terms for g in gb.polys]
+    lex_sys = sys.with_order(MonomialOrder.lex(sys.ring.weights))
+    calls = []
+    real = engine._interreduce
+
+    def recorded(ring, G):
+        out = real(ring, G)
+        calls.append((ring, list(G), out))
+        return out
+
+    with mock.patch.object(engine, "_interreduce", recorded):
+        grevlex = buchberger(sys)
+        assert terms(gb_via_homw(sys)) == terms(grevlex)
+        assert terms(gb_via_homw(lex_sys)) == terms(buchberger(lex_sys))
+    try:
+        assert terms(matrix_gb_whomog(sys)) == terms(grevlex)
+    except IncompleteBasisError:
+        pass
+    for ring_, G, out in calls:
+        assert [f.terms for f in out] == [f.terms for f in interreduce_fixpoint(ring_, G)]
 
 
 def test_spoly_transport():
@@ -289,24 +340,6 @@ def _matrix_harvest(monkeypatch, sys):
     return gb, list(runs[0].basis)
 
 
-def _random_generating_sets(rng, count):
-    """Small sparse sets over tiny fields: rarely a Groebner basis, with
-    repeated leading monomials and leading monomials that drop."""
-    out = []
-    for _ in range(count):
-        n = rng.choice([1, 2, 3])
-        W = tuple(rng.randint(1, 3) for _ in range(n))
-        order = rng.choice([MonomialOrder.wgrevlex(W), MonomialOrder.lex(W)])
-        R = PolyRing(PrimeField(rng.choice([2, 3, 5])), W, order)
-        pool = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(10)]
-        polys = [
-            R.from_map({rng.choice(pool): rng.randint(0, 4) for _ in range(rng.randint(1, 6))})
-            for _ in range(rng.randint(1, 10))
-        ]
-        out.append((R, polys))
-    return out
-
-
 def test_interreduce_matches_fixpoint_oracle(monkeypatch):
     from interreduce_oracle import interreduce_fixpoint
 
@@ -331,15 +364,7 @@ def test_interreduce_matches_fixpoint_oracle(monkeypatch):
         want = interreduce_fixpoint(sys.ring, harvest)
         assert [f.terms for f in gb.polys] == [f.terms for f in want], (W, D, seed)
         cases.append((sys.ring, harvest))
-        # the inputs themselves are generating sets that are not bases
-        cases.append((sys.ring, list(sys.polys)))
-        lex_sys = sys.with_order(lex)
-        cases.append((lex_sys.ring, list(lex_sys.polys)))
     assert len(cases) >= 60
-    R = ring((1, 1)).with_order(MonomialOrder.lex((1, 1)))
-    x, y = R.gens()
-    cases.append((R, [x, x + y]))
-    cases += _random_generating_sets(rng, 400)
     for R, polys in cases:
         got = [f.terms for f in _interreduce(R, polys)]
         assert got == [f.terms for f in interreduce_fixpoint(R, polys)], (R, polys)
@@ -348,7 +373,8 @@ def test_interreduce_matches_fixpoint_oracle(monkeypatch):
 def test_interreduce_one_reduction_per_reduced_element(monkeypatch):
     import wgb.engine as engine
 
-    gb = buchberger(random_w_homogeneous_system((1, 1, 1), (3, 3, 4), seed=3))
+    sys = random_w_homogeneous_system((1, 1, 1), (3, 3, 4), seed=3)
+    [(R, G)] = _interreduce_inputs(monkeypatch, lambda: buchberger(sys))
     calls = []
     inner = engine.reduce_poly
 
@@ -357,9 +383,13 @@ def test_interreduce_one_reduction_per_reduced_element(monkeypatch):
         return inner(f, basis)
 
     monkeypatch.setattr(engine, "reduce_poly", counted)
-    again = reduce_basis(gb)
-    assert len(calls) == len(gb.polys) > 10
-    assert [f.terms for f in again.polys] == [f.terms for f in gb.polys]
+    kept = engine._interreduce(R, G)
+    # Buchberger's G has elements whose leading monomial another divides:
+    # they are skipped, and each kept element is reduced once
+    assert len(G) > len(kept) == len(calls) > 10
+    assert [f.lm for f in calls] == [g.lm for g in kept]
+    monkeypatch.undo()
+    assert [f.terms for f in kept] == [f.terms for f in buchberger(sys).polys]
 
 
 def _eliminate_through_oracle(monkeypatch):
