@@ -86,9 +86,8 @@ def cmd_gb(args):
     sys = load_system(args.system)
     order = _parse_order_flag(args.order, sys.ring.weights)
     extra = None
-    if args.order.startswith("elim:"):
-        k = int(args.order.split(":", 1)[1])
-        gb, elim = elimination_gb(sys, k)
+    if order.kind == "elim":
+        gb, elim = elimination_gb(sys, order.block)
         extra = {"elimination_basis": [format_polynomial(f) for f in elim]}
     elif args.engine == "buchberger":
         gb = buchberger(sys.with_order(order))

@@ -11,13 +11,12 @@ largest degree whose matrix was actually built and reduced.
 import heapq
 import time
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import macaulay_weak
 from .errors import (
     BudgetExceededError,
     IncompleteBasisError,
@@ -34,7 +33,8 @@ from .monomial import (
 )
 from .order import WGREVLEX, MonomialOrder
 from .poly import Polynomial, reduce_poly, spoly
-from .series import semiregular_truncation_degree, staircase_census
+# semiregular_truncation_degree is not called here; perfbench/tracing.py wraps this binding
+from .series import semiregular_truncation_degree, staircase_census  # noqa: F401
 from .transform import hom_w_inverse, hom_w_system
 
 
@@ -91,20 +91,6 @@ class GroebnerBasis:
 
     def lt_monomials(self):
         return [f.lm for f in self.polys]
-
-    def reduce(self, f):
-        return reduce_poly(f, self.polys)
-
-    def spolynomial_audit(self):
-        """Buchberger criterion: every S-polynomial reduces to zero."""
-        G = self.polys
-        for i in range(len(G)):
-            for j in range(i + 1, len(G)):
-                if mono_lcm(G[i].lm, G[j].lm) == mono_mul(G[i].lm, G[j].lm):
-                    continue
-                if not reduce_poly(spoly(G[i], G[j]), G).is_zero:
-                    return False
-        return True
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.polys)} polys, {self.ring!r})"
@@ -224,6 +210,9 @@ class _MatrixRun:
         self.basis = []      # harvested polynomials
         self.tags = []       # input index that produced each one
         self.prefix_pivots = {}  # degree -> pivots after the rows of inputs 0..i
+        self.full_rank = set()  # degrees whose pivots fill every column
+        self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
+        self._paired = 0  # harvested elements counted in lcm_degree
         self.stats = GBStats(engine="matrix")
         self._monomials = {}
 
@@ -293,6 +282,8 @@ class _MatrixRun:
         independent = lead >= 0
         new_pivots = np.bincount(row_input[independent], minlength=len(self.inputs))
         self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
+        if len(E) == ncols:
+            self.full_rank.add(d)
         zero = nrows - len(E)
         self.stats.reductions_to_zero += zero
         self.stats.observed_dreg = max(self.stats.observed_dreg, d)
@@ -310,6 +301,23 @@ class _MatrixRun:
             self.tags.append(int(producers[k]))
         return True
 
+    def certified(self, d):
+        """Whether certificate (a) or (b) of matrix_gb_whomog holds after d."""
+        if all(e in self.full_rank or not self._sorted_monomials(e)[0]
+               for e in range(d - self.ws.max + 1, d + 1)):
+            return True
+        if d < max(self.degrees):
+            return False
+        # fold the elements harvested since the last call into lcm_degree
+        lms = np.array([g.lm for g in self.basis], dtype=np.int64).reshape(-1, self.ring.n)
+        w = np.array(self.ws.weights, dtype=np.int64)
+        for j in range(self._paired, len(lms)):
+            shared = lms[:j][(lms[:j, lms[j] > 0] > 0).any(axis=1)]
+            if len(shared):
+                self.lcm_degree = max(self.lcm_degree, int((np.maximum(shared, lms[j]) @ w).max()))
+        self._paired = len(lms)
+        return self.lcm_degree <= d
+
     def census_divergence(self, expected):
         """(degree, got, expected) at the first degree where the census of
         the basis so far leaves the expected series, or None."""
@@ -319,13 +327,30 @@ class _MatrixRun:
         return next(((e, a, b) for e, (a, b) in enumerate(zip(got, want)) if a != b), None)
 
 
-def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
+def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     """Degree-by-degree signature matrix engine for weighted homogeneous input.
 
-    Stops when the supplied (polynomial) Hilbert series certifies the
-    leading-term ideal, or else runs to the weak Macaulay window and checks
-    the Buchberger criterion.  A window exhausted without either
-    certificate raises IncompleteBasisError carrying the partial basis.
+    After degree d the harvest holds the leading monomials of I_e, e <= d:
+    each degree's matrix spans I_e and every new pivot no earlier leading
+    monomial divides is harvested.  The run stops after the first degree d
+    where one certificate holds:
+
+    * given an expected (polynomial) Hilbert series, the census of the
+      harvest meets it through max w degrees past its last term;
+    * (a) the pivots filled every column in degrees d - max w + 1 .. d (a
+      degree with no monomial counts as full): a monomial of degree e > d
+      is x_i times one of degree e - w_i >= e - max w, so by induction
+      every monomial above d is a leading monomial of the harvest;
+    * (b) d >= max D and every two harvested leading monomials sharing a
+      variable have their lcm at degree <= d: every input and every such
+      S-polynomial lies in some I_e, e <= d, where the harvest is complete,
+      so it reduces them to zero; coprime pairs need no reduction.
+
+    (b) holds once d passes the degrees of the reduced basis and their
+    lcms, so the run always ends.  A run certified before the census meets
+    the expected series raises IncompleteBasisError with the basis, which
+    is complete, and the first degree where the ideal's Hilbert function
+    leaves the series.
     """
     run = _MatrixRun(sys)
     ring = run.ring
@@ -334,32 +359,18 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
     if expected_series is not None and not expected_series.polynomial:
         raise ValueError("Hilbert-driven termination needs a polynomial series")
 
-    if max_degree is not None:
-        d_stop = max_degree
-    else:
-        D = tuple(run.degrees)
-        m, n = len(D), ring.n
-        if m == n:
-            d_stop = macaulay_weak(run.ws, D) + run.ws.max
-        elif m > n:
-            trunc = semiregular_truncation_degree(run.ws, D)
-            if trunc is None:
-                raise RuntimeError("could not locate the series truncation degree")
-            d_stop = trunc + run.ws.max
-        else:
-            raise ValueError(
-                "underdetermined weighted homogeneous input needs an explicit max_degree"
-            )
-
-    complete = False
-    for d in range(min(run.degrees), d_stop + 1):
+    divergence = None
+    for d in count(min(run.degrees)):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError(
                 f"matrix engine exceeded its budget at degree {d}", stats=run.stats
             )
         run.run_degree(d)
-        if expected_series is not None and run.census_divergence(expected_series) is None:
-            complete = True
+        if expected_series is not None:
+            divergence = run.census_divergence(expected_series)
+            if divergence is None:
+                break
+        if run.certified(d):
             break
 
     # each harvested row is already reduced: it is a row of the reduced
@@ -367,27 +378,13 @@ def matrix_gb_whomog(sys, expected_series=None, max_degree=None, deadline=None):
     # lies on non-pivot columns, the monomials outside LT(I)
     polys = sorted(run.basis, key=lambda f: ring.order.key(f.lm))
     gb = GroebnerBasis(ring, polys, run.stats)
-    if complete:
+    if divergence is None:
         return gb
-    if expected_series is not None:
-        e, got, want = divergence = run.census_divergence(expected_series)
-        raise IncompleteBasisError(
-            f"window [{min(run.degrees)}, {d_stop}] exhausted without matching the "
-            f"expected Hilbert series: the census first leaves it at degree {e}, "
-            f"{got} against {want}",
-            partial=gb,
-            stats=run.stats,
-            first_divergence=divergence,
-        )
-    # the harvest lies in the ideal; it is a basis of it once it reduces
-    # every input to zero and passes the Buchberger criterion
-    if all(gb.reduce(f).is_zero for f in run.inputs) and gb.spolynomial_audit():
-        return gb
+    e, got, want = divergence
     raise IncompleteBasisError(
-        f"window [{min(run.degrees)}, {d_stop}] exhausted and the partial basis leaves "
-        "an input unreduced or fails the S-polynomial audit",
-        partial=gb,
-        stats=run.stats,
+        f"the basis is complete at degree {d}, but its census leaves the expected "
+        f"Hilbert series at degree {e}, {got} against {want}",
+        partial=gb, stats=run.stats, first_divergence=divergence,
     )
 
 

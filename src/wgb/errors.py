@@ -38,12 +38,12 @@ class EmptySupportError(ValueError):
 
 
 class IncompleteBasisError(RuntimeError):
-    """A degree-bounded engine run ended without a completeness certificate.
+    """The matrix engine certified its basis before the census of the
+    harvest met the expected Hilbert series.
 
-    Carries the partial basis for diagnosis and, when an expected Hilbert
-    series was given, first_divergence = (degree, got, expected): the first
-    degree where the partial basis's census leaves that series, with both
-    coefficients.
+    Carries the basis, which is complete (`partial`), and first_divergence
+    = (degree, got, expected): the first degree where the ideal's Hilbert
+    function leaves the series, with both coefficients.
     """
 
     def __init__(self, message, partial=None, stats=None, first_divergence=None):

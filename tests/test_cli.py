@@ -81,6 +81,19 @@ def test_gb_engines_agree(tmp_path, capsys):
     assert bases["buchberger"] == bases["matrix"] == bases["homw"]
 
 
+def test_gb_matrix_underdetermined(tmp_path, capsys):
+    # two equations in three variables: the matrix engine stops on its own
+    # certificate
+    out = tmp_path / "u.txt"
+    main(["gen", "--weights", "1,1,1", "--degrees", "2,2", "--seed", "4", "--out", str(out)])
+    bases = {}
+    for engine in ("buchberger", "matrix"):
+        assert main(["gb", str(out), "--engine", engine, "--json"]) == 0
+        bases[engine] = json.loads(capsys.readouterr().out)["basis"]
+    assert bases["matrix"] == bases["buchberger"]
+    assert len(bases["matrix"]) > 2
+
+
 def test_bounds_cli(capsys):
     assert main(["bounds", "--weights", "20,5,5,1", "--degrees", "60,60,60,60",
                  "--json"]) == 0

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from spolynomial_oracle import spolynomial_audit
 
 from wgb import (
     MonomialOrder,
@@ -21,6 +22,7 @@ from wgb import (
     macaulay_snp,
     macaulay_weak,
     matrix_gb_whomog,
+    reduce_poly,
     spoly,
     weighted_bezout,
 )
@@ -51,7 +53,7 @@ def test_snp_example_basis_content():
     X, Y = R.gens()
     gb = buchberger(PolySystem(R, [X ** 2 + Y ** 3, X * Y]))
     assert sorted(str(g) for g in gb.polys) == ["X*Y", "X^2 + Y^3", "Y^4"]
-    assert gb.spolynomial_audit()
+    assert spolynomial_audit(gb)
 
 
 def test_regular_system_staircase_size():
@@ -68,9 +70,9 @@ def test_buchberger_correctness_random():
         D = tuple(w * rng.choice([1, 2, 3]) for w in W)
         sys = random_w_homogeneous_system(W, D, seed)
         gb = buchberger(sys)
-        assert gb.spolynomial_audit()
+        assert spolynomial_audit(gb)
         for f in sys.polys:
-            assert gb.reduce(f).is_zero
+            assert reduce_poly(f, gb.polys).is_zero
 
 
 def test_matrix_engine_single_power():
@@ -88,7 +90,7 @@ def test_matrix_engine_table_rows():
         sys = random_w_homogeneous_system(W, (6, 6, 6), seed=2)
         gb = matrix_gb_whomog(sys, expected_series=expand_rational((6, 6, 6), W))
         assert gb.stats.observed_dreg == dreg
-        assert gb.spolynomial_audit()
+        assert spolynomial_audit(gb)
 
 
 def test_matrix_engine_rejects_affine():
@@ -106,19 +108,52 @@ def test_matrix_matches_buchberger():
         D = tuple(w * rng.choice([2, 3]) for w in W)
         sys = random_w_homogeneous_system(W, D, seed + 100)
         gb1 = buchberger(sys)
-        gb2 = matrix_gb_whomog(sys)  # window + audit termination
+        gb2 = matrix_gb_whomog(sys)  # stops on its own certificate
         assert [g.terms for g in gb1.polys] == [g.terms for g in gb2.polys]
+        # regular: max w full degrees past the series degree sum(D - W)
+        assert gb2.stats.observed_dreg <= sum(D) - sum(W) + max(W)
 
 
-def test_matrix_engine_window_missing_an_input_is_incomplete():
-    # W = (2,), D = (4, 4): the series 1 + T^2 - T^4 .. is truncated at its
-    # zero coefficient of degree 1, so the window ends at degree 2 and
-    # builds no row.  The empty harvest passes the S-polynomial audit, but
-    # the inputs do not reduce to zero modulo it.
+def test_matrix_engine_self_certified_stop():
+    # without a series the run certifies itself at sum(D - W) + max w = 15:
+    # degrees 13 to 15 have full rank
+    sys = random_w_homogeneous_system((3, 2, 1), (6, 6, 6), seed=2)
+    gb = matrix_gb_whomog(sys)
+    assert gb.stats.observed_dreg == 15
+    assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]
+
+
+def test_matrix_engine_reaches_every_input():
+    # W = (2,), D = (4, 4) at p = 7: the truncated series 1 + T^2 - T^4 ..
+    # has a zero coefficient at degree 1 from the weight gap alone, and the
+    # inputs lie at degree 4
     sys = random_w_homogeneous_system((2,), (4, 4), seed=1, field=7)
-    with pytest.raises(IncompleteBasisError, match="input unreduced"):
-        matrix_gb_whomog(sys)
-    assert [str(g) for g in buchberger(sys).polys] == ["X1^2"]
+    gb = matrix_gb_whomog(sys)
+    assert [str(g) for g in gb.polys] == [str(g) for g in buchberger(sys).polys] == ["X1^2"]
+
+
+def test_matrix_engine_underdetermined_and_degenerate_input():
+    R = ring((1, 1, 1), p=7, names=("X", "Y", "Z"))
+    X, Y, Z = R.gens()
+    f = X * Y + Z ** 2
+    cases = [
+        [f, f],  # a repeated polynomial
+        [X * Y, X * Z],  # a common factor: a positive-dimensional ideal
+        [X ** 0, X],  # a constant
+        [X ** 0 * 3, f],
+        [f, Y ** 3 - X * Z ** 2],
+    ]
+    cases += [
+        list(random_w_homogeneous_system(W, D, seed, field=p).polys)
+        for W, D in [((2, 1, 1), (4,)), ((3, 2, 1), (6, 6)), ((1, 1, 1, 1), (2, 3))]
+        for seed in range(3)
+        for p in (2, 3, 65521)
+    ]
+    for polys in cases:
+        sys = PolySystem(polys[0].ring, polys)
+        gb = matrix_gb_whomog(sys)
+        assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys], polys
+    assert [str(g) for g in matrix_gb_whomog(PolySystem(R, [X ** 0, X])).polys] == ["1"]
 
 
 def test_reduced_basis_unique_across_pair_orders():
@@ -161,7 +196,7 @@ def test_gb_via_homw_keeps_the_order_of_the_ring():
     pulled = gb_via_homw(lex_sys)
     assert pulled.ring == lex_sys.ring
     assert pulled.order.kind == "lex"
-    assert pulled.spolynomial_audit()
+    assert spolynomial_audit(pulled)
     direct = buchberger(lex_sys)
     assert [g.terms for g in pulled.polys] == [g.terms for g in direct.polys]
     assert len(pulled.polys) == 11
@@ -202,10 +237,7 @@ def test_engines_agree_term_for_term(sys):
         grevlex = buchberger(sys)
         assert terms(gb_via_homw(sys)) == terms(grevlex)
         assert terms(gb_via_homw(lex_sys)) == terms(buchberger(lex_sys))
-    try:
-        assert terms(matrix_gb_whomog(sys)) == terms(grevlex)
-    except IncompleteBasisError:
-        pass
+    assert terms(matrix_gb_whomog(sys)) == terms(grevlex)
     for ring_, G, out in calls:
         assert [f.terms for f in out] == [f.terms for f in interreduce_fixpoint(ring_, G)]
 
@@ -283,27 +315,23 @@ def test_prefix_ideal_dims_degree_exactness():
 
 
 def test_incomplete_basis_names_first_divergence():
-    # dreg is 13: a window ending at 10 leaves leading terms out
-    W = (3, 2, 1)
-    sys = random_w_homogeneous_system(W, (6, 6, 6), seed=2)
-    expected = expand_rational((6, 6, 6), W)
-    with pytest.raises(IncompleteBasisError) as info:
-        matrix_gb_whomog(sys, expected_series=expected, max_degree=10)
-    exc = info.value
-    e, got, want = exc.first_divergence
-    # every degree up to the window's end is exact
-    assert e > 10
-    assert want == expected.coeff(e)
+    # f_3 = f_1: the ideal is (f_1, f_2), whose Hilbert function leaves the
+    # generic series of (6, 6, 6) at degree 6, where it misses one generator
     from wgb.series import staircase_census
 
-    census = staircase_census(exc.partial.lt_monomials(), W, e)
-    assert census[e] == got > want
-    assert census[:e] == expected.coeffs_upto(e - 1)
-    assert f"degree {e}, {got} against {want}" in str(exc)
-    # with no expected series the divergence is not defined
+    W = (3, 2, 1)
+    f1, f2, _ = random_w_homogeneous_system(W, (6, 6, 6), seed=2).polys
+    sys = PolySystem(f1.ring, [f1, f2, f1])
+    expected = expand_rational((6, 6, 6), W)
     with pytest.raises(IncompleteBasisError) as info:
-        matrix_gb_whomog(sys, max_degree=10)
-    assert info.value.first_divergence is None
+        matrix_gb_whomog(sys, expected_series=expected)
+    exc = info.value
+    want = buchberger(sys)
+    assert [g.terms for g in exc.partial.polys] == [g.terms for g in want.polys]
+    assert exc.first_divergence == (6, 5, 4)
+    census = staircase_census(want.lt_monomials(), W, 6)
+    assert census[:6] == expected.coeffs_upto(5) and census[6] == 5
+    assert "degree 6, 5 against 4" in str(exc)
 
 
 def _interreduce_inputs(monkeypatch, run):
@@ -413,38 +441,25 @@ def _eliminate_through_oracle(monkeypatch):
     monkeypatch.setattr(engine, "row_echelon", oracle)
 
 
-def _matrix_run(sys):
-    """The basis, or the partial basis when the window cannot certify one."""
-    try:
-        return matrix_gb_whomog(sys), True
-    except IncompleteBasisError as exc:
-        return exc.partial, False
-
-
 @pytest.mark.parametrize("p", [3, 65521, 2**31 - 1])
 def test_matrix_engine_off_default_prime_matches_oracle(p, monkeypatch):
     # at p = 2^31 - 1 every product of the kernel takes the 16-bit halves
     rng = random.Random(p)
-    complete = 0
     for seed in range(10):
         n = rng.choice([2, 3])
         W = tuple(sorted((rng.choice([1, 1, 2]) for _ in range(n)), reverse=True))
         D = tuple(W[0] * rng.choice([2, 3]) for _ in range(n + rng.choice([0, 1])))
         sys = random_w_homogeneous_system(W, D, seed, field=p)
         bounds = [sum(D[: i + 1]) for i in range(len(D))]
-        gb, ok = _matrix_run(sys)
+        gb = matrix_gb_whomog(sys)
         dims = prefix_ideal_dims(sys, bounds)
         with monkeypatch.context() as mp:
             _eliminate_through_oracle(mp)
-            want, want_ok = _matrix_run(sys)
+            want = matrix_gb_whomog(sys)
             assert prefix_ideal_dims(sys, bounds) == dims
-        assert ok == want_ok
         assert [g.terms for g in gb.polys] == [g.terms for g in want.polys]
         assert gb.stats.as_dict() == want.stats.as_dict()
-        if ok:
-            complete += 1
-            assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]
-    assert complete >= 5
+        assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]
 
 
 def test_matrix_stats_per_degree_record():

@@ -9,7 +9,9 @@ are imported into a module only for the tracer, so removing one breaks
 import importlib.util
 from pathlib import Path
 
+import wgb.engine
 import wgb.fglm
+import wgb.series
 import wgb.structure
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -35,10 +37,15 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
             assert wrapper.__wrapped__ is original, (module.__name__, attr)
         bindings = {(module.__name__, attr) for module, attr, _ in patched}
         # kept in src/ for the tracer only
-        assert {("wgb.fglm", "reduce_poly"), ("wgb.structure", "buchberger")} <= bindings
+        assert {
+            ("wgb.fglm", "reduce_poly"),
+            ("wgb.structure", "buchberger"),
+            ("wgb.engine", "semiregular_truncation_degree"),
+        } <= bindings
     finally:
         tracer.restore()
     for module, attr, original in patched:
         assert getattr(module, attr) is original, (module.__name__, attr)
     assert wgb.fglm.reduce_poly is wgb.poly.reduce_poly
     assert wgb.structure.buchberger is wgb.engine.buchberger
+    assert wgb.engine.semiregular_truncation_degree is wgb.series.semiregular_truncation_degree
