@@ -7,6 +7,7 @@ indented key-value rendering.
 
 import argparse
 import json
+import os
 import sys as _sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -94,6 +95,11 @@ def cmd_gb(args):
     elif args.engine == "matrix":
         expected = None
         if args.hilbert_driven:
+            if sys.m < sys.n:
+                raise ValueError(
+                    f"--hilbert-driven needs m >= n equations, got {sys.m} in {sys.n} "
+                    "variables: an underdetermined system's generic series is not a polynomial"
+                )
             expected = expand_rational(sys.degrees, sys.ring.weights)
             # an overdetermined series can be a polynomial with negative
             # coefficients; a square one may have inner zeros, kept as they are
@@ -275,10 +281,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (EmptySupportError, IncompleteBasisError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout was closed early (`wgb gb ... | head`): stop without a
+        # traceback, and send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .monomial import (
 )
 from .order import WGREVLEX, MonomialOrder
 from .poly import Polynomial, reduce_poly, spoly
-# semiregular_truncation_degree is not called here; perfbench/tracing.py wraps this binding
+# neither is called here; perfbench/tracing.py wraps these bindings
 from .series import semiregular_truncation_degree, staircase_census  # noqa: F401
 from .transform import hom_w_inverse, hom_w_system
 
@@ -210,7 +210,6 @@ class _MatrixRun:
         self.basis = []      # harvested polynomials
         self.tags = []       # input index that produced each one
         self.prefix_pivots = {}  # degree -> pivots after the rows of inputs 0..i
-        self.full_rank = set()  # degrees whose pivots fill every column
         self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
         self._paired = 0  # harvested elements counted in lcm_degree
         self.stats = GBStats(engine="matrix")
@@ -282,8 +281,6 @@ class _MatrixRun:
         independent = lead >= 0
         new_pivots = np.bincount(row_input[independent], minlength=len(self.inputs))
         self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
-        if len(E) == ncols:
-            self.full_rank.add(d)
         zero = nrows - len(E)
         self.stats.reductions_to_zero += zero
         self.stats.observed_dreg = max(self.stats.observed_dreg, d)
@@ -301,10 +298,13 @@ class _MatrixRun:
             self.tags.append(int(producers[k]))
         return True
 
+    def h(self, e):
+        """dim (R/I)_e once the run has passed e: monomials less pivots."""
+        return len(self._sorted_monomials(e)[0]) - self.prefix_pivots.get(e, [0])[-1]
+
     def certified(self, d):
         """Whether certificate (a) or (b) of matrix_gb_whomog holds after d."""
-        if all(e in self.full_rank or not self._sorted_monomials(e)[0]
-               for e in range(d - self.ws.max + 1, d + 1)):
+        if all(self.h(e) == 0 for e in range(d - self.ws.max + 1, d + 1)):
             return True
         if d < max(self.degrees):
             return False
@@ -318,13 +318,17 @@ class _MatrixRun:
         self._paired = len(lms)
         return self.lcm_degree <= d
 
-    def census_divergence(self, expected):
+    def census_divergence(self, expected, d):
         """(degree, got, expected) at the first degree where the census of
-        the basis so far leaves the expected series, or None."""
-        upto = expected.degree + self.ws.max
-        got = staircase_census([g.lm for g in self.basis], self.ws, upto)
-        want = expected.coeffs_upto(upto)
-        return next(((e, a, b) for e, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        the harvest leaves the expected series, or None: h(e) up to d, where
+        the harvest holds the leading monomials of I_e, and above d the
+        monomials no harvested leading monomial divides."""
+        lms = np.array([g.lm for g in self.basis], dtype=np.int64).reshape(-1, self.ring.n)
+        for e, want in enumerate(expected.coeffs_upto(expected.degree + self.ws.max)):
+            got = self.h(e) if e <= d else int((~_divisible(self._sorted_monomials(e)[1], lms)).sum())
+            if got != want:
+                return e, got, want
+        return None
 
 
 def matrix_gb_whomog(sys, expected_series=None, deadline=None):
@@ -337,10 +341,10 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
 
     * given an expected (polynomial) Hilbert series, the census of the
       harvest meets it through max w degrees past its last term;
-    * (a) the pivots filled every column in degrees d - max w + 1 .. d (a
-      degree with no monomial counts as full): a monomial of degree e > d
-      is x_i times one of degree e - w_i >= e - max w, so by induction
-      every monomial above d is a leading monomial of the harvest;
+    * (a) h(e) = dim (R/I)_e is zero in degrees d - max w + 1 .. d: a
+      monomial of degree e > d is x_i times one of degree e - w_i >= e -
+      max w, so by induction every monomial above d is a leading monomial
+      of the harvest;
     * (b) d >= max D and every two harvested leading monomials sharing a
       variable have their lcm at degree <= d: every input and every such
       S-polynomial lies in some I_e, e <= d, where the harvest is complete,
@@ -367,7 +371,7 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
             )
         run.run_degree(d)
         if expected_series is not None:
-            divergence = run.census_divergence(expected_series)
+            divergence = run.census_divergence(expected_series, d)
             if divergence is None:
                 break
         if run.certified(d):
@@ -384,7 +388,7 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     raise IncompleteBasisError(
         f"the basis is complete at degree {d}, but its census leaves the expected "
         f"Hilbert series at degree {e}, {got} against {want}",
-        partial=gb, stats=run.stats, first_divergence=divergence,
+        basis=gb, stats=run.stats, first_divergence=divergence,
     )
 
 

@@ -41,14 +41,14 @@ class IncompleteBasisError(RuntimeError):
     """The matrix engine certified its basis before the census of the
     harvest met the expected Hilbert series.
 
-    Carries the basis, which is complete (`partial`), and first_divergence
-    = (degree, got, expected): the first degree where the ideal's Hilbert
-    function leaves the series, with both coefficients.
+    Carries `basis`, the reduced Groebner basis, which is complete, and
+    first_divergence = (degree, got, expected): the first degree where the
+    ideal's Hilbert function leaves the series, with both coefficients.
     """
 
-    def __init__(self, message, partial=None, stats=None, first_divergence=None):
+    def __init__(self, message, basis=None, stats=None, first_divergence=None):
         super().__init__(message)
-        self.partial = partial
+        self.basis = basis
         self.stats = stats
         self.first_divergence = first_divergence
 

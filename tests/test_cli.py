@@ -1,6 +1,10 @@
 """CLI surface and the system file format."""
 
 import json
+import os
+import subprocess
+import sys as _sys
+from pathlib import Path
 
 import pytest
 
@@ -164,3 +168,35 @@ def test_modulus_above_bound_exits_2(capsys):
     assert main(["gen", "--weights", "1,1", "--degrees", "2,2",
                  "--modulus", str(2**31 + 11)]) == 2
     assert "2^31" in capsys.readouterr().err
+
+
+def test_gb_hilbert_driven_underdetermined_exits_2(tmp_path, capsys):
+    # two quadrics in three variables: the generic series 1 + 3T + 5T^2 + ..
+    # never ends, so there is no series to stop on
+    out = tmp_path / "ud.txt"
+    assert main(["gen", "--weights", "1,1,1", "--degrees", "2,2", "--seed", "4",
+                 "--out", str(out)]) == 0
+    assert main(["gb", str(out), "--engine", "matrix", "--hilbert-driven"]) == 2
+    err = capsys.readouterr().err
+    assert "--hilbert-driven needs m >= n" in err and "not a polynomial" in err
+    assert main(["gb", str(out), "--engine", "matrix"]) == 0
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # `wgb gb ... | head -5`: the reader is gone before the basis is printed
+    out = tmp_path / "sys.txt"
+    assert main(["gen", "--weights", "3,2,1", "--degrees", "6,6,6", "--seed", "1",
+                 "--out", str(out)]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [_sys.executable, "-m", "wgb.cli", "gb", str(out), "--engine", "matrix"],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -24,10 +24,16 @@ from wgb import (
     matrix_gb_whomog,
     reduce_poly,
     spoly,
+    truncate_semiregular,
     weighted_bezout,
 )
 from wgb.engine import prefix_ideal_dims
-from wgb.errors import EmptySupportError, IncompleteBasisError, NotWHomogeneousError
+from wgb.errors import (
+    EmptySupportError,
+    IncompleteBasisError,
+    InsufficientWindowError,
+    NotWHomogeneousError,
+)
 from wgb.fglm import staircase
 from wgb.monomial import monomials_of_wdeg
 from wgb.structure import is_regular_sequence, is_snp, random_w_homogeneous_system
@@ -327,11 +333,65 @@ def test_incomplete_basis_names_first_divergence():
         matrix_gb_whomog(sys, expected_series=expected)
     exc = info.value
     want = buchberger(sys)
-    assert [g.terms for g in exc.partial.polys] == [g.terms for g in want.polys]
+    assert [g.terms for g in exc.basis.polys] == [g.terms for g in want.polys]
     assert exc.first_divergence == (6, 5, 4)
     census = staircase_census(want.lt_monomials(), W, 6)
     assert census[:6] == expected.coeffs_upto(5) and census[6] == 5
     assert "degree 6, 5 against 4" in str(exc)
+
+
+@st.composite
+def _hilbert_driven_inputs(draw):
+    """(system, series) for a Hilbert-driven run: small W and D, square or
+    with one extra equation, at p in {2, 3, 7, 65521}; the last input
+    sometimes repeats the first, so that the run diverges.  The series is
+    the generic one, truncated as `wgb gb --hilbert-driven` truncates it."""
+    n = draw(st.integers(1, 3))
+    W = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    D = tuple(draw(st.integers(2, 6)) for _ in range(n + draw(st.integers(0, 1))))
+    assume(all(monomials_of_wdeg(W, d) for d in D))
+    assume(math.prod(sorted(D)[:n]) <= 36)
+    p = draw(st.sampled_from([2, 3, 7, 65521]))
+    sys = random_w_homogeneous_system(W, D, draw(st.integers(0, 10**6)), field=p)
+    if len(D) > 1 and draw(st.booleans()):
+        sys = PolySystem(sys.ring, list(sys.polys[:-1]) + [sys.polys[0]])
+    expected = expand_rational(D, W)
+    if len(D) > n or not expected.polynomial:
+        try:
+            expected = truncate_semiregular(expected)
+        except InsufficientWindowError:
+            assume(False)
+    return sys, expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_hilbert_driven_inputs())
+def test_census_divergence_reads_the_runs_own_counts(case):
+    # reference: the staircase census of the whole harvest from degree 0
+    from wgb.series import staircase_census
+
+    import wgb.engine as engine
+
+    sys, expected = case
+    real = engine._MatrixRun.census_divergence
+    degrees = []
+
+    def checked(run, series, d):
+        got = real(run, series, d)
+        upto = series.degree + run.ws.max
+        census = staircase_census([g.lm for g in run.basis], run.ws, max(upto, d))
+        want = series.coeffs_upto(upto)
+        assert got == next(((e, a, b) for e, (a, b) in enumerate(zip(census, want)) if a != b), None)
+        assert [run.h(e) for e in range(d + 1)] == census[: d + 1]
+        degrees.append(d)
+        return got
+
+    with mock.patch.object(engine._MatrixRun, "census_divergence", checked):
+        try:
+            matrix_gb_whomog(sys, expected_series=expected)
+        except IncompleteBasisError:
+            pass
+    assert degrees
 
 
 def _interreduce_inputs(monkeypatch, run):

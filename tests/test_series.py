@@ -1,9 +1,12 @@
 """Series expansion, truncation, shape analysis and staircase censuses."""
 
+import math
 import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgb import (
     HilbertSeries,
@@ -20,10 +23,12 @@ from wgb import (
     shape_params,
     truncate_semiregular,
     validate_ci_shape,
+    weighted_bezout,
 )
 from wgb.errors import ArityError, InsufficientWindowError, PositiveDimensionError
+from wgb.monomial import monomials_of_wdeg
 from wgb.series import _numerator, staircase_census
-from wgb.structure import random_w_homogeneous_system
+from wgb.structure import is_regular_sequence, random_w_homogeneous_system
 
 
 def rcd_chains(n, wmax, last=None):
@@ -226,13 +231,37 @@ def test_quotient_series_examples():
     assert ideal_degree(s1) == 2
 
 
-def test_quotient_series_matches_rational_for_regular():
-    sys = random_w_homogeneous_system((2, 1), (4, 4), seed=12)
-    gb = buchberger(sys)
-    s = quotient_hilbert_series(gb)
-    expected = expand_rational((4, 4), (2, 1))
-    assert s.coeffs_upto(expected.degree + 2) == expected.coeffs_upto(expected.degree + 2)
-    assert ideal_degree(s) == 8
+@st.composite
+def _square_systems(draw):
+    """Small dense square W-homogeneous systems at p in {2, 3, 7, 65521};
+    the last input sometimes repeats the first."""
+    n = draw(st.integers(1, 3))
+    W = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    D = tuple(draw(st.integers(1, 6)) for _ in range(n))
+    assume(all(monomials_of_wdeg(W, d) for d in D))
+    assume(math.prod(D) <= 36)
+    p = draw(st.sampled_from([2, 3, 7, 65521]))
+    sys = random_w_homogeneous_system(W, D, draw(st.integers(0, 10**6)), field=p)
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        sys = PolySystem(sys.ring, list(sys.polys[:-1]) + [sys.polys[0]])
+    return sys
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_square_systems())
+def test_quotient_series_matches_rational_for_regular(sys):
+    # the Buchberger census meets the rational form exactly when the
+    # signature run calls the sequence regular; a positive-dimensional
+    # quotient has no polynomial series and counts as unequal
+    W, D = sys.ring.weights.weights, sys.degrees
+    expected = expand_rational(D, W)
+    try:
+        s = quotient_hilbert_series(buchberger(sys))
+    except PositiveDimensionError:
+        s = None
+    assert (s == expected) == is_regular_sequence(sys).regular
+    if s == expected:
+        assert ideal_degree(s) == weighted_bezout(W, D)
 
 
 def test_ideal_degree_requires_polynomial():

@@ -41,6 +41,7 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
             ("wgb.fglm", "reduce_poly"),
             ("wgb.structure", "buchberger"),
             ("wgb.engine", "semiregular_truncation_degree"),
+            ("wgb.engine", "staircase_census"),
         } <= bindings
     finally:
         tracer.restore()
@@ -49,3 +50,4 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
     assert wgb.fglm.reduce_poly is wgb.poly.reduce_poly
     assert wgb.structure.buchberger is wgb.engine.buchberger
     assert wgb.engine.semiregular_truncation_degree is wgb.series.semiregular_truncation_degree
+    assert wgb.engine.staircase_census is wgb.series.staircase_census
