@@ -95,16 +95,18 @@ def cmd_gb(args):
     elif args.engine == "matrix":
         expected = None
         if args.hilbert_driven:
-            if sys.m < sys.n:
-                raise ValueError(
-                    f"--hilbert-driven needs m >= n equations, got {sys.m} in {sys.n} "
-                    "variables: an underdetermined system's generic series is not a polynomial"
-                )
             expected = expand_rational(sys.degrees, sys.ring.weights)
             # an overdetermined series can be a polynomial with negative
-            # coefficients; a square one may have inner zeros, kept as they are
-            if sys.m > sys.n or not expected.polynomial:
+            # coefficients; a square regular sequence's series is a polynomial
+            if sys.m > sys.n:
                 expected = truncate_semiregular(expected)
+            elif not expected.polynomial:
+                raise ValueError(
+                    f"--hilbert-driven needs m >= n equations whose degrees some regular "
+                    f"sequence has: no regular sequence of {sys.m} equations in {sys.n} variables "
+                    f"of weights {sys.ring.weights.weights} has degrees {sys.degrees} (their "
+                    "generic series is not a polynomial)"
+                )
         gb = matrix_gb_whomog(sys.with_order(order), expected_series=expected)
     elif args.engine == "homw":
         gb = gb_via_homw(sys.with_order(order))

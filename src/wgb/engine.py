@@ -191,8 +191,8 @@ class _MatrixRun:
 
     Harvested basis elements are tagged with the input index of the row
     that produced them, so the criterion for index i tests divisibility
-    against leading terms discovered for indices < i only.
-    """
+    against leading terms discovered for indices < i only.  A zero input
+    keeps its index and builds no row."""
 
     def __init__(self, sys):
         sys.require_w_homogeneous()
@@ -201,8 +201,8 @@ class _MatrixRun:
         self.ring = sys.ring
         self.p = sys.ring.field.p
         self.ws = sys.ring.weights
-        self.inputs = [f.monic() for f in sys.polys if f]
-        self.degrees = [f.wdeg() for f in self.inputs]
+        self.inputs = [f.monic() for f in sys.polys]
+        self.degrees = [f.wdeg() for f in self.inputs]  # -1 for a zero input
         self._terms = [
             (np.array([e for e, _ in f.terms], dtype=np.int64), np.array([c for _, c in f.terms]))
             for f in self.inputs
@@ -210,21 +210,24 @@ class _MatrixRun:
         self.basis = []      # harvested polynomials
         self.tags = []       # input index that produced each one
         self.prefix_pivots = {}  # degree -> pivots after the rows of inputs 0..i
+        self.restricted_pivots = {}  # degree -> those on monomials in x_0..x_i
         self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
         self._paired = 0  # harvested elements counted in lcm_degree
         self.stats = GBStats(engine="matrix")
         self._monomials = {}
 
     def _sorted_monomials(self, d):
-        """Monomials of weighted degree d, largest first, as tuples and as an
-        exponent array (cached)."""
+        """Monomials of weighted degree d, largest first, as tuples, as an
+        exponent array and as the index of their last variable (cached)."""
         hit = self._monomials.get(d)
         if hit is None:
             # on one weighted degree, weighted grevlex is the reverse of lex
             # on the reversed exponents
             n = self.ring.n
             monos = sorted(monomials_of_wdeg(self.ws.weights, d), key=itemgetter(*range(n - 1, -1, -1)))
-            hit = self._monomials[d] = (monos, np.array(monos, dtype=np.int64).reshape(-1, n))
+            arr = np.array(monos, dtype=np.int64).reshape(-1, n)
+            last = ((arr > 0) * np.arange(n)).max(axis=1)  # 0 for the monomial 1
+            hit = self._monomials[d] = (monos, arr, last)
         return hit
 
     def run_degree(self, d, n_inputs=None):
@@ -241,7 +244,7 @@ class _MatrixRun:
         blocks = []
         skipped = 0
         for i, di in enumerate(self.degrees[:n_inputs]):
-            if di > d:
+            if not 0 <= di <= d:
                 continue
             mults = self._sorted_monomials(d - di)[1][::-1]
             blocked = _divisible(mults, lms[tags < i])
@@ -252,7 +255,7 @@ class _MatrixRun:
         nrows = sum(len(mults) for _, mults in blocks)
         if not nrows:
             return False
-        cols, col_arr = self._sorted_monomials(d)
+        cols, col_arr, last = self._sorted_monomials(d)
         ncols = len(cols)
         self.stats.max_matrix_rows = max(self.stats.max_matrix_rows, nrows)
         self.stats.max_matrix_cols = max(self.stats.max_matrix_cols, ncols)
@@ -279,8 +282,13 @@ class _MatrixRun:
 
         lead, E = row_echelon(A, self.p)
         independent = lead >= 0
-        new_pivots = np.bincount(row_input[independent], minlength=len(self.inputs))
+        producers = row_input[independent]
+        new_pivots = np.bincount(producers, minlength=len(self.inputs))
         self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
+        # a pivot of input j on a monomial whose last variable is x_v counts
+        # for the prefixes i >= max(j, v)
+        restricted = np.bincount(np.maximum(producers, last[lead[independent]]), minlength=len(self.inputs))
+        self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
         zero = nrows - len(E)
         self.stats.reductions_to_zero += zero
         self.stats.observed_dreg = max(self.stats.observed_dreg, d)
@@ -289,7 +297,6 @@ class _MatrixRun:
         # a new leading monomial not divisible by an earlier one is harvested;
         # two of one degree never divide each other
         harvest = ~_divisible(col_arr[lead[independent]], lms)
-        producers = row_input[independent]
         for k in np.flatnonzero(harvest).tolist():
             row = E[k]
             nz = np.flatnonzero(row)
@@ -358,13 +365,13 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     """
     run = _MatrixRun(sys)
     ring = run.ring
-    if not run.inputs:
+    if not any(run.inputs):
         return GroebnerBasis(ring, (), run.stats)
     if expected_series is not None and not expected_series.polynomial:
         raise ValueError("Hilbert-driven termination needs a polynomial series")
 
     divergence = None
-    for d in count(min(run.degrees)):
+    for d in count(min(d for d in run.degrees if d >= 0)):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError(
                 f"matrix engine exceeded its budget at degree {d}", stats=run.stats
@@ -393,32 +400,36 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
 
 
 def prefix_ideal_dims(sys, up_to_degrees):
-    """Row i lists dim (f_1..f_i)_e for e = 0..up_to_degrees[i-1] (row 0,
-    the zero ideal, up to the largest bound), all from one signature run.
+    """(dims, restricted) from one signature run: row i lists dim
+    (f_1..f_i)_e, and dim (f_1..f_i)_e with x_{i+1}..x_n set to zero, for
+    e = 0..up_to_degrees[i-1] (row 0, the zero ideal, up to the largest).
 
     Rows enter each degree's matrix in input order, and the criterion only
     skips a row u*f_i whose u is divisible by the leading term of an element
     of (f_1..f_{i-1}), a row already in the span of earlier rows.  So the
-    pivot count after the rows of f_1..f_i is dim (f_1..f_i)_e.  Harvesting
-    too few leading terms, or leaving out the rows of prefixes no longer
-    asked for, only skips fewer rows and keeps the counts exact.
+    pivots after the rows of f_1..f_i (a zero f_i has none) are the leading
+    monomials of (f_1..f_i)_e.  Harvesting too few leading terms, or leaving
+    out the rows of prefixes no longer asked for, only skips fewer rows and
+    keeps them exact.  Under weighted grevlex a W-homogeneous I has
+    in(I + (x_{i+1}..x_n)) = in(I) + (x_{i+1}..x_n), the reverse-lex
+    property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop.
+    15.12), so the restricted dimension counts those on x_1..x_i alone.
     """
-    if any(f.is_zero for f in sys.polys):
-        raise ValueError("zero polynomial in the sequence")
     run = _MatrixRun(sys)
     m = len(run.inputs)
     if len(up_to_degrees) != m:
         raise ValueError(f"need {m} degree bounds, got {len(up_to_degrees)}")
     top = max(up_to_degrees, default=-1)
-    dims = [[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees]
+    out = [[[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees] for _ in range(2)]
     for d in range(top + 1):
         k = max(i + 1 for i, u in enumerate(up_to_degrees) if u >= d)
         if not run.run_degree(d, n_inputs=k):
             continue
-        for i, c in enumerate(run.prefix_pivots[d][:k]):
-            if d <= up_to_degrees[i]:
-                dims[i + 1][d] = c
-    return dims
+        for rows, counts in zip(out, (run.prefix_pivots[d], run.restricted_pivots[d])):
+            for i, c in enumerate(counts[:k]):
+                if d <= up_to_degrees[i]:
+                    rows[i + 1][d] = c
+    return out
 
 
 def gb_via_homw(sys):

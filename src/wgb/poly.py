@@ -73,8 +73,8 @@ class PolyRing:
     def gens(self):
         return [self.gen(i) for i in range(self.n)]
 
-    def monomial(self, exps, coeff=1):
-        return self.from_map({tuple(exps): coeff})
+    def monomial(self, exps):
+        return self.from_map({tuple(exps): 1})
 
     def from_map(self, coeff_map):
         """Build from {exponent tuple: coefficient}, normalizing everything."""
@@ -190,17 +190,10 @@ class Polynomial:
         p = self.ring.field.p
         return Polynomial(self.ring, tuple((e, (k * c) % p) for e, k in self.terms))
 
-    def mono_mul(self, exps, coeff=1):
-        """Multiply by coeff * X^exps (monomial multiplication keeps sorting)."""
-        coeff = self.ring.field.normalize(coeff)
-        if coeff == 0:
-            return self.ring.zero()
-        p = self.ring.field.p
+    def mono_mul(self, exps):
+        """Multiply by X^exps (monomial multiplication keeps sorting)."""
         exps = tuple(exps)
-        return Polynomial(
-            self.ring,
-            tuple((mono_mul(e, exps), (c * coeff) % p) for e, c in self.terms),
-        )
+        return Polynomial(self.ring, tuple((mono_mul(e, exps), c) for e, c in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, int):

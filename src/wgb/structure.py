@@ -1,10 +1,12 @@
 """Structural oracles and system generators.
 
-Every verdict is read off the prefix Hilbert functions of signature runs
-(`engine.prefix_ideal_dims`).  Regularity compares the quotient's Hilbert
-function with the rational product form; Noether position appends the
-trailing variables and tests regularity; semi-regularity is decided both by
-graded multiplication-map ranks (the definition) and by prefix series
+Every verdict is read off the prefix Hilbert functions of one signature
+run of the sequence (`engine.prefix_ideal_dims`).  Regularity compares the
+quotient's Hilbert function with the rational product form; Noether
+position of a prefix f_1..f_i compares R/(f_1..f_i, x_{i+1}..x_n), counted
+from the same run's pivots in x_1..x_i, with the product form of the
+prefix extended by the trailing variables; semi-regularity is decided both
+by graded multiplication-map ranks (the definition) and by prefix series
 truncation (certifying under reverse chain-divisible weights with degrees
 divisible by the top weight, advisory otherwise).
 """
@@ -88,25 +90,51 @@ def _wgrevlex_system(sys):
 
 
 def _hilbert_functions(sys, bounds, top):
-    """[h_0, .., h_m] with h_i(e) = dim (R/(f_1..f_i))_e for e up to
-    bounds[i-1] (h_0 up to top), all read off one signature run."""
+    """([h_0, .., h_m], r) off one signature run: h_i(e) = dim
+    (R/(f_1..f_i))_e up to bounds[i-1] (h_0 up to top), r[i] the restricted
+    dimensions of `prefix_ideal_dims` (r[0] zero up to top)."""
+    dims, restricted = prefix_ideal_dims(sys, bounds)
     free = staircase_census([], sys.ring.weights, top)
-    return [free] + [
-        [free[e] - dim for e, dim in enumerate(dims)]
-        for dims in prefix_ideal_dims(sys, bounds)[1:]
-    ]
+    h = [free] + [[free[e] - dim for e, dim in enumerate(row)] for row in dims[1:]]
+    return h, [[0] * (top + 1)] + restricted[1:]
 
 
-def _regularity_verdict(sys, window, h):
+def _regularity_verdict(W, degrees, window, h):
     """Compare the quotient Hilbert function h up to the window with the
-    rational product form."""
-    square = sys.m == sys.n
+    rational product form of the degrees (exact when square)."""
     got = h[: window + 1]
-    want = expand_rational(sys.degrees, sys.ring.weights, window).coeffs_upto(window)
+    want = expand_rational(degrees, W, window).coeffs_upto(window)
+    square = len(degrees) == len(W)
     if got == want:
         return RegularityVerdict(True, square, window)
     d = next(i for i in range(window + 1) if got[i] != want[i])
     return RegularityVerdict(False, square, window, (d, got[d], want[d]))
+
+
+def _extended(sys, i):
+    """Degrees of f_1..f_i extended by the trailing variables x_{i+1}..x_n,
+    and the window of their product form."""
+    degrees = sys.degrees[:i] + sys.ring.weights.weights[i:]
+    return degrees, default_window(sys.ring.weights, degrees)
+
+
+def _noether_verdict(sys, i, restricted):
+    """Noether position of the prefix f_1..f_i: the Hilbert function of
+    R/(f_1..f_i, x_{i+1}..x_n), the degree-e monomials of x_1..x_i less the
+    restricted ideal dimension, against the extended product form."""
+    degrees, window = _extended(sys, i)
+    trailing = [tuple(int(k == j) for k in range(sys.n)) for j in range(i, sys.n)]
+    free = staircase_census(trailing, sys.ring.weights, window)
+    g = [free[e] - dim for e, dim in enumerate(restricted[i][: window + 1])]
+    return _regularity_verdict(sys.ring.weights, degrees, window, g)
+
+
+def _require_at_most_n(sys, what):
+    sys = _wgrevlex_system(sys)
+    sys.require_w_homogeneous()
+    if sys.m > sys.n:
+        raise ArityError(f"{what} is for m <= n systems")
+    return sys
 
 
 def is_regular_sequence(sys):
@@ -114,33 +142,22 @@ def is_regular_sequence(sys):
     declared degrees, on `series.default_window`.
 
     Exact for m = n (the comparison window closes the staircase); for
-    m < n the verdict means "regular up to the window degree".  Zero
-    polynomials generate nothing, so h is read off the nonzero ones (the
-    free census when there are none).
+    m < n the verdict means "regular up to the window degree".  A zero
+    polynomial generates nothing and still counts with its declared degree.
     """
-    sys = _wgrevlex_system(sys)
-    sys.require_w_homogeneous()
-    if sys.m > sys.n:
-        raise ArityError("regularity is for m <= n systems")
+    sys = _require_at_most_n(sys, "regularity")
     window = default_window(sys.ring.weights, sys.degrees)
-    kept = [(f, d) for f, d in zip(sys.polys, sys.degrees) if f]
-    nonzero = PolySystem(sys.ring, [f for f, _ in kept], [d for _, d in kept])
-    h = _hilbert_functions(nonzero, [window] * nonzero.m, window)
-    return _regularity_verdict(sys, window, h[-1])
+    h, _ = _hilbert_functions(sys, [window] * sys.m, window)
+    return _regularity_verdict(sys.ring.weights, sys.degrees, window, h[-1])
 
 
 def is_noether_position(sys):
     """Noether position w.r.t. the first m variables: the sequence extended
     by the trailing variables X_{m+1}..X_n is regular."""
-    sys = _wgrevlex_system(sys)
-    sys.require_w_homogeneous()
-    ring = sys.ring
-    m, n = sys.m, sys.n
-    if m > n:
-        raise ArityError("Noether position is for m <= n systems")
-    polys = list(sys.polys) + [ring.gen(j) for j in range(m, n)]
-    degrees = tuple(sys.degrees) + tuple(ring.weights[j] for j in range(m, n))
-    return is_regular_sequence(PolySystem(ring, polys, degrees))
+    sys = _require_at_most_n(sys, "Noether position")
+    window = _extended(sys, sys.m)[1]
+    _, restricted = _hilbert_functions(sys, [window] * sys.m, window)
+    return _noether_verdict(sys, sys.m, restricted)
 
 
 @dataclass(frozen=True)
@@ -155,17 +172,14 @@ class SnpVerdict:
 
 def is_snp(sys):
     """Simultaneous Noether position: every prefix in Noether position."""
-    return _snp(_wgrevlex_system(sys))
+    sys = _require_at_most_n(sys, "Noether position")
+    windows = [_extended(sys, i)[1] for i in range(1, sys.m + 1)]
+    _, restricted = _hilbert_functions(sys, windows, max(windows, default=0))
+    return _snp(sys, restricted)
 
 
-def _snp(sys, regular=None):
-    """SNP verdict; `regular`, when given, is the regularity verdict of the
-    prefix m = n, the whole square system."""
-    verdicts = tuple(
-        regular if regular is not None and i == sys.n
-        else is_noether_position(PolySystem(sys.ring, sys.polys[:i], sys.degrees[:i]))
-        for i in range(1, sys.m + 1)
-    )
+def _snp(sys, restricted):
+    verdicts = tuple(_noether_verdict(sys, i, restricted) for i in range(1, sys.m + 1))
     failing = next((i for i, v in enumerate(verdicts, 1) if not v), None)
     return SnpVerdict(failing is None, failing, verdicts)
 
@@ -202,15 +216,13 @@ def is_semiregular(sys, d_max=None):
     one signature run (`prefix_ideal_dims`): the rank of multiplication by
     f_i from degree d is h_{i-1}(d + d_i) - h_i(d + d_i).
     """
-    return _semiregular(_wgrevlex_system(sys), d_max)[0]
+    return _semiregular(_wgrevlex_system(sys), d_max, [0] * (sys.m + 1))[0]
 
 
-def _semiregular(sys, d_max, window=0):
-    """The verdict of `is_semiregular` and the prefix Hilbert functions
-    [h_0, .., h_m] it is read from, each read up to the window at least."""
-    sys.require_w_homogeneous()
-    if any(f.is_zero for f in sys.polys):
-        raise ValueError("zero polynomial in the sequence")
+def _semiregular(sys, d_max, windows):
+    """The verdict of `is_semiregular`, the prefix Hilbert functions
+    [h_0, .., h_m] it is read from, each h_i read up to windows[i] at
+    least, and the restricted ideal dimensions of the same run."""
     W = sys.ring.weights
     D = sys.degrees
     m, n = sys.m, sys.n
@@ -223,8 +235,8 @@ def _semiregular(sys, d_max, window=0):
 
     # h_i is read up to d_max + d_i (multiplication by f_i) and, as the
     # domain side, up to d_max + d_{i+1}
-    bounds = [max(d_max + max(D[i - 1 : i + 1]), 0, window) for i in range(1, m + 1)]
-    h = _hilbert_functions(sys, bounds, max(bounds + [window]))
+    bounds = [max(d_max + max(D[i - 1 : i + 1]), 0, windows[i]) for i in range(1, m + 1)]
+    h, restricted = _hilbert_functions(sys, bounds, max(bounds + windows[:1]))
 
     first_failure = None
     for i in range(1, m + 1):
@@ -270,38 +282,20 @@ def _semiregular(sys, d_max, window=0):
         truncation_degree=trunc,
         first_failure=first_failure,
     )
-    return verdict, h
+    return verdict, h, restricted
 
 
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
-def random_w_homogeneous_system(weights, degrees, seed, field=DEFAULT_MODULUS):
-    """Dense support on all monomials of weighted degree exactly d_i,
-    uniform nonzero coefficients, deterministic under (seed, W, D, p)."""
+def _random_system(kind, support, weights, degrees, seed, field):
+    """Uniform nonzero coefficients on support(W, d_i), deterministic under
+    (kind, seed, W, D, p)."""
     ring = PolyRing(field, weights)
     W, p = ring.weights, ring.field.p
     D = tuple(degrees)
-    rng = random.Random(f"wgb-hom|{p}|{W.weights}|{D}|{seed}")
-    polys = []
-    for d in D:
-        support = sorted(monomials_of_wdeg(W.weights, d), key=ring.order.key, reverse=True)
-        if not support:
-            raise EmptySupportError(
-                f"no monomials of weighted degree {d} for weights {W.weights} "
-                f"(Sylvester denumerant 0)"
-            )
-        polys.append(ring.from_map({m: rng.randrange(1, p) for m in support}))
-    return PolySystem(ring, polys, D)
-
-
-def random_affine_system(weights, degrees, seed, field=DEFAULT_MODULUS):
-    """Dense support on all monomials of weighted degree <= d_i."""
-    ring = PolyRing(field, weights)
-    W, p = ring.weights, ring.field.p
-    D = tuple(degrees)
-    rng = random.Random(f"wgb-aff|{p}|{W.weights}|{D}|{seed}")
+    rng = random.Random(f"wgb-{kind}|{p}|{W.weights}|{D}|{seed}")
     polys = []
     for d in D:
         if not monomials_of_wdeg(W.weights, d):
@@ -309,11 +303,20 @@ def random_affine_system(weights, degrees, seed, field=DEFAULT_MODULUS):
                 f"no monomials of weighted degree {d} for weights {W.weights} "
                 f"(Sylvester denumerant 0)"
             )
-        support = sorted(
-            monomials_of_wdeg_at_most(W.weights, d), key=ring.order.key, reverse=True
-        )
-        polys.append(ring.from_map({m: rng.randrange(1, p) for m in support}))
+        terms = sorted(support(W.weights, d), key=ring.order.key, reverse=True)
+        polys.append(ring.from_map({m: rng.randrange(1, p) for m in terms}))
     return PolySystem(ring, polys, D)
+
+
+def random_w_homogeneous_system(weights, degrees, seed, field=DEFAULT_MODULUS):
+    """Dense support on all monomials of weighted degree exactly d_i,
+    uniform nonzero coefficients, deterministic under (seed, W, D, p)."""
+    return _random_system("hom", monomials_of_wdeg, weights, degrees, seed, field)
+
+
+def random_affine_system(weights, degrees, seed, field=DEFAULT_MODULUS):
+    """Dense support on all monomials of weighted degree <= d_i."""
+    return _random_system("aff", monomials_of_wdeg_at_most, weights, degrees, seed, field)
 
 
 def froberg_sequence(weights, degrees, d_extra):
@@ -407,45 +410,36 @@ class StructureReport:
                 "top_weight_divides_degrees": self.hyp_top_weight_divides,
                 "last_weight_one": self.hyp_last_weight_one,
             },
-            "regular": None
-            if self.regular is None
-            else {
-                "verdict": self.regular.regular,
-                "certified": self.regular.certified,
-                "window": self.regular.window,
-                "first_mismatch": self.regular.first_mismatch,
-            },
-            "snp": None
-            if self.snp is None
-            else {
-                "verdict": self.snp.snp,
-                "first_failing_prefix": self.snp.first_failing_prefix,
-            },
-            "semiregular": {
-                "verdict": self.semiregular.semiregular,
-                "rank_ok": self.semiregular.rank_ok,
-                "series_ok": self.semiregular.series_ok,
-                "series_certifying": self.semiregular.series_certifying,
-                "window": self.semiregular.window,
-                "first_failure": self.semiregular.first_failure,
-            },
+            "regular": _summary(self.regular, "regular", "certified", "window", "first_mismatch"),
+            "snp": _summary(self.snp, "snp", "first_failing_prefix"),
+            "semiregular": _summary(
+                self.semiregular, "semiregular", "rank_ok", "series_ok", "series_certifying",
+                "window", "first_failure",
+            ),
         }
 
 
+def _summary(verdict, flag, *fields):
+    """{"verdict": verdict.<flag>, field: verdict.<field>, ..}, or None."""
+    if verdict is None:
+        return None
+    return {"verdict": getattr(verdict, flag), **{f: getattr(verdict, f) for f in fields}}
+
+
 def structure_report(sys, d_max=None):
-    """Every verdict of `StructureReport`.  Regularity and semi-regularity
-    are read off one shared signature run; SNP adds one run per prefix
-    shorter than n and takes the regularity verdict for the prefix m = n."""
+    """Every verdict of `StructureReport`, all read off one signature run."""
     sys = _wgrevlex_system(sys)
     W = sys.ring.weights
     D = sys.degrees
     m, n = sys.m, sys.n
-    # reading every h_i up to the regularity window builds no extra row:
-    # the rows of every input are built that far for h_m anyway
+    # every h_i is read up to the regularity window, which builds no extra
+    # row (the rows of every input are built that far for h_m anyway), and
+    # up to the window of its prefix's Noether position
     window = default_window(W, D) if m <= n else 0
-    semi, h = _semiregular(sys, d_max, window)
-    regular = _regularity_verdict(sys, window, h[m]) if m <= n else None
-    snp = _snp(sys, regular) if m <= n else None
+    windows = [max(window, _extended(sys, i)[1]) if m <= n else 0 for i in range(m + 1)]
+    semi, h, restricted = _semiregular(sys, d_max, windows)
+    regular = _regularity_verdict(W, D, window, h[m]) if m <= n else None
+    snp = _snp(sys, restricted) if m <= n else None
     return StructureReport(
         weights=W.weights,
         degrees=D,

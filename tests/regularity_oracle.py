@@ -1,18 +1,24 @@
-"""Buchberger-based oracles for regularity and Noether position.
+"""Oracles for regularity and Noether position.
 
 `is_regular_sequence` compares the staircase census of a Buchberger basis
 with the rational product form; `noether_position_substitute` sets the
 trailing variables to zero and tests regularity in the first m variables.
 Neither shares code with the signature run that `wgb.structure` reads its
 Hilbert functions from, which is what makes them a check.
+`noether_position_extended` and `snp_extended` append the trailing
+variables as generators and run `wgb.structure.is_regular_sequence` on the
+extended system, one run per prefix: they check the count of pivots in
+the leading variables that `wgb.structure` reads Noether position from,
+field for field.
 """
 
 from wgb import PolyRing, PolySystem, buchberger
+from wgb import structure
 from wgb.errors import ArityError
 from wgb.monomial import as_weights
 from wgb.order import MonomialOrder
 from wgb.series import expand_rational, staircase_census
-from wgb.structure import RegularityVerdict, _wgrevlex_system
+from wgb.structure import RegularityVerdict, SnpVerdict, _wgrevlex_system
 
 
 def is_regular_sequence(sys, window=None):
@@ -72,3 +78,29 @@ def snp_substitute(sys):
         if not noether_position_substitute(prefix).regular:
             return False, i
     return True, None
+
+
+def noether_position_extended(sys):
+    """Noether position w.r.t. the first m variables: the sequence extended
+    by the trailing variables X_{m+1}..X_n is regular."""
+    sys = _wgrevlex_system(sys)
+    sys.require_w_homogeneous()
+    ring = sys.ring
+    m, n = sys.m, sys.n
+    if m > n:
+        raise ArityError("Noether position is for m <= n systems")
+    polys = list(sys.polys) + [ring.gen(j) for j in range(m, n)]
+    degrees = tuple(sys.degrees) + tuple(ring.weights[j] for j in range(m, n))
+    return structure.is_regular_sequence(PolySystem(ring, polys, degrees))
+
+
+def snp_extended(sys):
+    """Simultaneous Noether position, every prefix tested by
+    `noether_position_extended`."""
+    sys = _wgrevlex_system(sys)
+    verdicts = tuple(
+        noether_position_extended(PolySystem(sys.ring, sys.polys[:i], sys.degrees[:i]))
+        for i in range(1, sys.m + 1)
+    )
+    failing = next((i for i, v in enumerate(verdicts, 1) if not v), None)
+    return SnpVerdict(failing is None, failing, verdicts)

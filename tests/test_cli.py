@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys as _sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import wgb.cli
 from wgb.cli import main
 from wgb.structure import random_affine_system, random_w_homogeneous_system
 from wgb.sysio import (
@@ -179,6 +181,21 @@ def test_gb_hilbert_driven_underdetermined_exits_2(tmp_path, capsys):
     assert main(["gb", str(out), "--engine", "matrix", "--hilbert-driven"]) == 2
     err = capsys.readouterr().err
     assert "--hilbert-driven needs m >= n" in err and "not a polynomial" in err
+    assert main(["gb", str(out), "--engine", "matrix"]) == 0
+
+
+def test_gb_hilbert_driven_square_without_polynomial_series_exits_2(tmp_path, capsys):
+    # W = (2, 1), D = (3, 3): (1 - T^3)^2 / ((1 - T)(1 - T^2)) is not a
+    # polynomial, so no regular sequence has these degrees; refused before
+    # the run, which would leave the truncated series at degree 4
+    out = tmp_path / "sq.txt"
+    assert main(["gen", "--weights", "2,1", "--degrees", "3,3", "--seed", "1",
+                 "--out", str(out)]) == 0
+    with mock.patch.object(wgb.cli, "matrix_gb_whomog") as run:
+        assert main(["gb", str(out), "--engine", "matrix", "--hilbert-driven"]) == 2
+    assert run.call_count == 0
+    err = capsys.readouterr().err
+    assert "of weights (2, 1) has degrees (3, 3)" in err and "not a polynomial" in err
     assert main(["gb", str(out), "--engine", "matrix"]) == 0
 
 

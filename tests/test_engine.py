@@ -315,9 +315,14 @@ def test_prefix_ideal_dims_degree_exactness():
     W = (2, 1)
     sys = random_w_homogeneous_system(W, (4, 4), seed=77)
     full = buchberger(sys)
-    dims = prefix_ideal_dims(sys, [6, 6])
+    dims, restricted = prefix_ideal_dims(sys, [6, 6])
     census = staircase_census(full.lt_monomials(), W, 6)
     assert dims[2] == [len(monomials_of_wdeg(W, e)) - census[e] for e in range(7)]
+    # setting Y = 0 leaves c*X^2 of f_1 (dense support), whose ideal in k[X]
+    # has one monomial in each even degree from 4; with no trailing
+    # variable the full prefix is not restricted
+    assert restricted[1] == [int(e >= 4 and e % 2 == 0) for e in range(7)]
+    assert restricted[2] == dims[2]
 
 
 def test_incomplete_basis_names_first_divergence():
@@ -345,7 +350,8 @@ def _hilbert_driven_inputs(draw):
     """(system, series) for a Hilbert-driven run: small W and D, square or
     with one extra equation, at p in {2, 3, 7, 65521}; the last input
     sometimes repeats the first, so that the run diverges.  The series is
-    the generic one, truncated as `wgb gb --hilbert-driven` truncates it."""
+    the generic one, truncated at its first non-positive coefficient when
+    the system is overdetermined or the series is not a polynomial."""
     n = draw(st.integers(1, 3))
     W = tuple(draw(st.integers(1, 3)) for _ in range(n))
     D = tuple(draw(st.integers(2, 6)) for _ in range(n + draw(st.integers(0, 1))))

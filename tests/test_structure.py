@@ -114,6 +114,16 @@ def test_regular_sequence_with_zero_polynomial():
     sys = PolySystem(R, [X ** 2, R.zero()], (2, 3))
     assert is_regular_sequence(sys) == RegularityVerdict(False, False, 7, (3, 7, 6))
     assert regularity_oracle.is_regular_sequence(sys) == is_regular_sequence(sys)
+    # the zero input keeps its index, so every verdict has one
+    from semiregular_oracle import rank_clause
+
+    rep = structure_report(sys)
+    assert rep.regular == is_regular_sequence(sys)
+    assert rep.snp == is_snp(sys) == regularity_oracle.snp_extended(sys)
+    assert not rep.snp and rep.snp.first_failing_prefix == 2
+    assert rep.semiregular == is_semiregular(sys)
+    assert (rep.semiregular.rank_ok, rep.semiregular.first_failure) == (False, (2, 0, 1))
+    assert rank_clause(sys, 3) == (False, (2, 0, 1))
     # with no nonzero polynomial, h is the free census
     R2 = ring((1, 1))
     only_zero = PolySystem(R2, [R2.zero()], (2,))
@@ -369,24 +379,31 @@ def _counting(module, name):
 
 
 def test_structure_report_shares_one_run():
-    # one run for regularity and semi-regularity, one per SNP prefix
-    # shorter than n, and no Buchberger basis
-    sys = random_w_homogeneous_system((3, 2, 1), (6, 6, 6), seed=1)
-    with (
-        _counting(wgb.structure, "prefix_ideal_dims") as runs,
-        _counting(wgb.structure, "buchberger") as bases,
-        _counting(wgb.engine, "buchberger") as engine_bases,
-    ):
-        rep = structure_report(sys)
-    assert (runs.call_count, bases.call_count, engine_bases.call_count) == (3, 0, 0)
-    separate = replace(
-        rep,
-        regular=is_regular_sequence(sys),
-        snp=is_snp(sys),
-        semiregular=is_semiregular(sys),
-    )
-    assert rep == separate
-    assert rep.as_dict() == separate.as_dict()
+    # one signature run, on the input system itself, serves regularity,
+    # Noether position of every prefix and semi-regularity; no Buchberger
+    # basis
+    for W, D in [((3, 2, 1), (6, 6, 6)), ((2, 2, 1, 1), (4, 4, 4, 4))]:
+        sys = random_w_homogeneous_system(W, D, seed=1)
+        with (
+            _counting(wgb.structure, "prefix_ideal_dims") as runs,
+            _counting(wgb.structure, "buchberger") as bases,
+            _counting(wgb.engine, "buchberger") as engine_bases,
+        ):
+            rep = structure_report(sys)
+        assert (runs.call_count, bases.call_count, engine_bases.call_count) == (1, 0, 0)
+        assert runs.call_args.args[0] is sys
+        for verdict in (is_snp, is_noether_position):
+            with _counting(wgb.structure, "prefix_ideal_dims") as runs:
+                verdict(sys)
+            assert runs.call_count == 1 and runs.call_args.args[0] is sys
+        separate = replace(
+            rep,
+            regular=is_regular_sequence(sys),
+            snp=is_snp(sys),
+            semiregular=is_semiregular(sys),
+        )
+        assert rep == separate
+        assert rep.as_dict() == separate.as_dict()
 
 
 @st.composite
@@ -427,10 +444,10 @@ def test_regularity_matches_oracle(sys):
         is_noether_position(sys).regular
         == regularity_oracle.noether_position_substitute(sys).regular
     )
-    if any(f.is_zero for f in sys.polys):
-        with pytest.raises(ValueError):
-            structure_report(sys)
-        return
+    # the count of pivots in the leading variables against the run of the
+    # system with the trailing variables appended, field for field
+    assert is_noether_position(sys) == regularity_oracle.noether_position_extended(sys)
+    assert snp == regularity_oracle.snp_extended(sys)
     rep = structure_report(sys)
     assert rep.regular == is_regular_sequence(sys)
     assert rep.snp == snp
