@@ -11,6 +11,7 @@ largest degree whose matrix was actually built and reduced.
 import heapq
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from itertools import accumulate, count
 from operator import itemgetter
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from .errors import (
     NotInImageError,
     NotWHomogeneousError,
 )
-from .linalg import row_echelon, zeros
+from .linalg import row_echelon, row_rank_profile, zeros
 from .monomial import (
     mono_divides,
     mono_lcm,
@@ -47,6 +48,8 @@ class DegreeRecord(NamedTuple):
     cols: int
     new_pivots: int
     zero_reductions: int
+    input_pivots: tuple  # new pivots per input index
+    input_zero_reductions: tuple  # zero reductions per input index
 
 
 @dataclass
@@ -186,15 +189,36 @@ def _divisible(monos, lms):
     return (lms[None, :, :] <= monos[:, None, :]).all(axis=2).any(axis=1)
 
 
+# the monomial tables of at most this many (weights, degree) pairs are kept
+MONOMIAL_TABLES = 1024
+
+
+@lru_cache(maxsize=MONOMIAL_TABLES)
+def _monomial_table(weights, d):
+    """Monomials of weighted degree d, largest first, as tuples, as an
+    exponent array and as the index of their last variable (0 for the
+    monomial 1); the arrays are read-only, as the memo shares them."""
+    # on one weighted degree, weighted grevlex is the reverse of lex on the
+    # reversed exponents
+    n = len(weights)
+    monos = tuple(sorted(monomials_of_wdeg(weights, d), key=itemgetter(*range(n - 1, -1, -1))))
+    arr = np.array(monos, dtype=np.int64).reshape(-1, n)
+    last = ((arr > 0) * np.arange(n)).max(axis=1)
+    arr.flags.writeable = last.flags.writeable = False
+    return monos, arr, last
+
+
 class _MatrixRun:
     """Shared degree-by-degree signature elimination.
 
     Harvested basis elements are tagged with the input index of the row
     that produced them, so the criterion for index i tests divisibility
     against leading terms discovered for indices < i only.  A zero input
-    keeps its index and builds no row."""
+    keeps its index and builds no row.  A count_only run keeps the leading
+    monomials and tags of its harvest but no polynomial, and asks the
+    kernel for the rank profile alone."""
 
-    def __init__(self, sys):
+    def __init__(self, sys, count_only=False):
         sys.require_w_homogeneous()
         if sys.ring.order.kind != WGREVLEX:
             raise NotWHomogeneousError("matrix engine requires the weighted grevlex order")
@@ -207,28 +231,17 @@ class _MatrixRun:
             (np.array([e for e, _ in f.terms], dtype=np.int64), np.array([c for _, c in f.terms]))
             for f in self.inputs
         ]
-        self.basis = []      # harvested polynomials
-        self.tags = []       # input index that produced each one
+        self.count_only = count_only
+        self.basis = []  # harvested polynomials, none when count_only
+        # leading monomials of the harvest, and the input index that produced each
+        self.lms = np.zeros((0, self.ring.n), dtype=np.int64)
+        self.tags = np.zeros(0, dtype=np.int64)
         self.prefix_pivots = {}  # degree -> pivots after the rows of inputs 0..i
         self.restricted_pivots = {}  # degree -> those on monomials in x_0..x_i
         self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
         self._paired = 0  # harvested elements counted in lcm_degree
         self.stats = GBStats(engine="matrix")
-        self._monomials = {}
-
-    def _sorted_monomials(self, d):
-        """Monomials of weighted degree d, largest first, as tuples, as an
-        exponent array and as the index of their last variable (cached)."""
-        hit = self._monomials.get(d)
-        if hit is None:
-            # on one weighted degree, weighted grevlex is the reverse of lex
-            # on the reversed exponents
-            n = self.ring.n
-            monos = sorted(monomials_of_wdeg(self.ws.weights, d), key=itemgetter(*range(n - 1, -1, -1)))
-            arr = np.array(monos, dtype=np.int64).reshape(-1, n)
-            last = ((arr > 0) * np.arange(n)).max(axis=1)  # 0 for the monomial 1
-            hit = self._monomials[d] = (monos, arr, last)
-        return hit
+        self.table = partial(_monomial_table, self.ws.weights)
 
     def run_degree(self, d, n_inputs=None):
         """Build and reduce the degree-d matrix; returns True if any row existed.
@@ -239,14 +252,13 @@ class _MatrixRun:
         n_inputs inputs are built when given.  Columns are the degree-d
         monomials, largest first.
         """
-        lms = np.array([g.lm for g in self.basis], dtype=np.int64).reshape(-1, self.ring.n)
-        tags = np.array(self.tags, dtype=np.int64)
+        lms, tags = self.lms, self.tags
         blocks = []
         skipped = 0
         for i, di in enumerate(self.degrees[:n_inputs]):
             if not 0 <= di <= d:
                 continue
-            mults = self._sorted_monomials(d - di)[1][::-1]
+            mults = self.table(d - di)[1][::-1]
             blocked = _divisible(mults, lms[tags < i])
             skipped += int(blocked.sum())
             mults = mults[~blocked]
@@ -255,7 +267,7 @@ class _MatrixRun:
         nrows = sum(len(mults) for _, mults in blocks)
         if not nrows:
             return False
-        cols, col_arr, last = self._sorted_monomials(d)
+        cols, col_arr, last = self.table(d)
         ncols = len(cols)
         self.stats.max_matrix_rows = max(self.stats.max_matrix_rows, nrows)
         self.stats.max_matrix_cols = max(self.stats.max_matrix_cols, ncols)
@@ -280,7 +292,7 @@ class _MatrixRun:
             row_input[r0 : r0 + len(mults)] = i
             r0 += len(mults)
 
-        lead, E = row_echelon(A, self.p)
+        lead, E = (row_rank_profile(A, self.p), None) if self.count_only else row_echelon(A, self.p)
         independent = lead >= 0
         producers = row_input[independent]
         new_pivots = np.bincount(producers, minlength=len(self.inputs))
@@ -289,25 +301,31 @@ class _MatrixRun:
         # for the prefixes i >= max(j, v)
         restricted = np.bincount(np.maximum(producers, last[lead[independent]]), minlength=len(self.inputs))
         self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
-        zero = nrows - len(E)
+        zeros_in = np.bincount(row_input, minlength=len(self.inputs)) - new_pivots
+        zero = nrows - len(producers)
         self.stats.reductions_to_zero += zero
         self.stats.observed_dreg = max(self.stats.observed_dreg, d)
-        self.stats.degrees.append(DegreeRecord(d, nrows, skipped, ncols, len(E), zero))
+        per_input = tuple(new_pivots.tolist()), tuple(zeros_in.tolist())
+        self.stats.degrees.append(DegreeRecord(d, nrows, skipped, ncols, len(producers), zero, *per_input))
 
         # a new leading monomial not divisible by an earlier one is harvested;
         # two of one degree never divide each other
-        harvest = ~_divisible(col_arr[lead[independent]], lms)
-        for k in np.flatnonzero(harvest).tolist():
+        new_lms = col_arr[lead[independent]]
+        harvest = np.flatnonzero(~_divisible(new_lms, lms))
+        self.lms = np.concatenate([lms, new_lms[harvest]])
+        self.tags = np.concatenate([tags, producers[harvest]])
+        if self.count_only:
+            return True
+        for k in harvest.tolist():
             row = E[k]
             nz = np.flatnonzero(row)
             terms = tuple(zip([cols[j] for j in nz.tolist()], row[nz].tolist()))
             self.basis.append(Polynomial(self.ring, terms))
-            self.tags.append(int(producers[k]))
         return True
 
     def h(self, e):
         """dim (R/I)_e once the run has passed e: monomials less pivots."""
-        return len(self._sorted_monomials(e)[0]) - self.prefix_pivots.get(e, [0])[-1]
+        return len(self.table(e)[0]) - self.prefix_pivots.get(e, [0])[-1]
 
     def certified(self, d):
         """Whether certificate (a) or (b) of matrix_gb_whomog holds after d."""
@@ -316,7 +334,7 @@ class _MatrixRun:
         if d < max(self.degrees):
             return False
         # fold the elements harvested since the last call into lcm_degree
-        lms = np.array([g.lm for g in self.basis], dtype=np.int64).reshape(-1, self.ring.n)
+        lms = self.lms
         w = np.array(self.ws.weights, dtype=np.int64)
         for j in range(self._paired, len(lms)):
             shared = lms[:j][(lms[:j, lms[j] > 0] > 0).any(axis=1)]
@@ -330,9 +348,8 @@ class _MatrixRun:
         the harvest leaves the expected series, or None: h(e) up to d, where
         the harvest holds the leading monomials of I_e, and above d the
         monomials no harvested leading monomial divides."""
-        lms = np.array([g.lm for g in self.basis], dtype=np.int64).reshape(-1, self.ring.n)
         for e, want in enumerate(expected.coeffs_upto(expected.degree + self.ws.max)):
-            got = self.h(e) if e <= d else int((~_divisible(self._sorted_monomials(e)[1], lms)).sum())
+            got = self.h(e) if e <= d else int((~_divisible(self.table(e)[1], self.lms)).sum())
             if got != want:
                 return e, got, want
         return None
@@ -415,7 +432,7 @@ def prefix_ideal_dims(sys, up_to_degrees):
     property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop.
     15.12), so the restricted dimension counts those on x_1..x_i alone.
     """
-    run = _MatrixRun(sys)
+    run = _MatrixRun(sys, count_only=True)
     m = len(run.inputs)
     if len(up_to_degrees) != m:
         raise ValueError(f"need {m} degree bounds, got {len(up_to_degrees)}")

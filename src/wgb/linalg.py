@@ -106,20 +106,36 @@ def row_echelon(A, p):
     and zero at every other row's leading column.  A must be an int32 or
     int64 array; it is overwritten, and E is a view of its first rows.
     """
+    return _echelon(A, p, True)
+
+
+def row_rank_profile(A, p):
+    """The lead of row_echelon(A, p), without the reduced form: the steps
+    that only clear entries above the pivots are left out.  A is
+    overwritten."""
+    return _echelon(A, p, False)[0]
+
+
+def _echelon(A, p, reduced):
+    """(lead, E) as row_echelon gives them; unless reduced, only lead."""
     m, n = A.shape
     if m <= BASE_ROWS or np.count_nonzero(A) <= SPARSE_ROW_NONZEROS * m:
-        return _echelon_rows(A, p)
+        return _echelon_rows(A, p, reduced)
     # echelon the top half, reduce the bottom half by it in one product,
-    # echelon the bottom half, then clear its pivots from the top half
+    # echelon the bottom half, then (for the reduced form) clear its pivots
+    # from the top half
     h = m // 2
-    lead_t, E_t = row_echelon(A[:h], p)
+    lead_t, E_t = _echelon(A[:h], p, True)  # reduce_rows needs E_t[:, piv] = I
     r_t = len(E_t)
     if r_t == n:
         return np.concatenate([lead_t, np.full(m - h, -1, dtype=np.int64)]), E_t
     bottom = A[h:]
     if r_t:
         reduce_rows(bottom, lead_t[lead_t >= 0], E_t, p)
-    lead_b, E_b = row_echelon(bottom, p)
+    lead_b, E_b = _echelon(bottom, p, reduced)
+    lead = np.concatenate([lead_t, lead_b])
+    if not reduced:
+        return lead, None
     r_b = len(E_b)
     if r_b and r_t:
         reduce_rows(E_t, lead_b[lead_b >= 0], E_b, p)
@@ -129,14 +145,14 @@ def row_echelon(A, p):
     for s in range(0, r_b if gap else 0, gap or 1):
         e = min(s + gap, r_b)
         A[r_t + s : r_t + e] = A[h + s : h + e]
-    return np.concatenate([lead_t, lead_b]), A[: r_t + r_b]
+    return lead, A[: r_t + r_b]
 
 
-def _echelon_rows(A, p):
+def _echelon_rows(A, p, reduced):
     """Row by row: each row is reduced at its leading column by the rows
-    kept so far until that column is free, then made monic and kept; a
-    final pass clears the entries the kept rows have in later pivot
-    columns."""
+    kept so far until that column is free, then made monic and kept; when
+    reduced, a final pass clears the entries the kept rows have in later
+    pivot columns."""
     m, n = A.shape
     nonzero = A != 0
     first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1).tolist()
@@ -154,7 +170,7 @@ def _echelon_rows(A, p):
             vec = vec.astype(np.int64)  # products of residues need int64
         while j in pivots:
             vec = (vec - vec[j] * A[pivots[j]]) % p
-            nz = np.flatnonzero(vec)
+            nz = vec.nonzero()[0]  # np.flatnonzero costs 4x as much on short rows
             j = int(nz[0]) if nz.size else -1
         if j < 0:
             continue
@@ -164,6 +180,8 @@ def _echelon_rows(A, p):
         A[k] = vec
         pivots[j] = k
         lead[r] = j
+    if not reduced:
+        return lead, None
     E = A[: len(pivots)]
     piv = lead[lead >= 0]
     # a row is zero left of its own pivot, so in pivot order the kept rows'

@@ -206,7 +206,7 @@ def is_semiregular(sys, d_max=None):
     """Both semi-regularity tests: graded ranks and prefix series.
 
     Rank method (the definition): for every i and every degree d up to
-    d_max, multiplication by f_i between the graded pieces of the prefix
+    d_max >= 0, multiplication by f_i between the graded pieces of the prefix
     quotient is full rank.  Series method: every prefix quotient matches
     the truncation of its rational series; certifying for coprime reverse
     chain-divisible weights (w_n = 1) with d_1..d_n divisible by w_1,
@@ -231,6 +231,8 @@ def _semiregular(sys, d_max, windows):
     if d_max is None:
         base = trunc if trunc is not None else max(0, sum(D) - W.total)
         d_max = base + W.max
+    elif d_max < 0:
+        raise ValueError(f"d_max must be >= 0, got {d_max}")
     inconclusive = trunc is not None and d_max < trunc
 
     # h_i is read up to d_max + d_i (multiplication by f_i) and, as the
@@ -253,7 +255,7 @@ def _semiregular(sys, d_max, windows):
 
     series_ok = True
     for i in range(1, m + 1):
-        s = expand_rational(D[:i], W, max(d_max, 0))
+        s = expand_rational(D[:i], W, d_max)
         try:
             want = truncate_semiregular(s).coeffs_upto(d_max)
         except InsufficientWindowError:

@@ -60,6 +60,9 @@ def test_gen_and_gb(tmp_path, capsys):
     degrees = data["stats"]["degrees"]
     assert degrees[-1]["degree"] == 13
     assert sum(r["zero_reductions"] for r in degrees) == data["stats"]["reductions_to_zero"]
+    # per input index, one entry per equation
+    assert all(len(r["input_pivots"]) == 3 and sum(r["input_pivots"]) == r["new_pivots"] for r in degrees)
+    assert all(sum(r["input_zero_reductions"]) == r["zero_reductions"] for r in degrees)
 
 
 def test_gen_affine_support(tmp_path):
@@ -142,6 +145,10 @@ def test_structure_cli(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["regular"]["verdict"] is True
     assert data["semiregular"]["verdict"] is True
+    assert main(["structure", str(out), "--dmax", "0"]) == 0
+    capsys.readouterr()
+    assert main(["structure", str(out), "--dmax", "-1"]) == 2
+    assert "d_max must be >= 0" in capsys.readouterr().err
 
 
 def test_bench_exit_codes(capsys):

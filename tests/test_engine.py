@@ -487,7 +487,8 @@ def test_interreduce_one_reduction_per_reduced_element(monkeypatch):
 
 
 def _eliminate_through_oracle(monkeypatch):
-    """Run the matrix engine's elimination through the row-by-row oracle."""
+    """Run the matrix engine's elimination, and the count-only runs' rank
+    profiles, through the row-by-row oracle."""
     import numpy as np
     from elimination_oracle import eliminate_rows
 
@@ -505,6 +506,7 @@ def _eliminate_through_oracle(monkeypatch):
         return np.array(lead, dtype=np.int64), np.array(kept, dtype=np.int64).reshape(-1, A.shape[1])
 
     monkeypatch.setattr(engine, "row_echelon", oracle)
+    monkeypatch.setattr(engine, "row_rank_profile", lambda A, p: np.array(eliminate_rows(A, p)[0], dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", [3, 65521, 2**31 - 1])
@@ -539,5 +541,56 @@ def test_matrix_stats_per_degree_record():
     assert max(r.rows for r in recs) == st.max_matrix_rows
     assert max(r.cols for r in recs) == st.max_matrix_cols
     assert all(r.new_pivots + r.zero_reductions == r.rows for r in recs)
+    # per input index: four inputs, the counts summing to the degree's
+    assert all(len(r.input_pivots) == len(r.input_zero_reductions) == 4 for r in recs)
+    assert all(sum(r.input_pivots) == r.new_pivots for r in recs)
+    assert all(sum(r.input_zero_reductions) == r.zero_reductions for r in recs)
+    assert sum(r.input_zero_reductions[0] for r in recs) == 0  # f_1 alone has no syzygy
     assert sum(r.skipped for r in recs) > 0
     assert st.as_dict()["degrees"] == [r._asdict() for r in recs]
+
+
+def test_prefix_ideal_dims_counts_only(monkeypatch):
+    # a count-only run harvests leading monomials and tags alone: it builds
+    # no Polynomial, never asks for the reduced echelon form, and on these
+    # sparse matrices (the row loop) makes no reduce_rows call at all
+    import wgb.engine as engine
+    import wgb.linalg as linalg
+
+    R = PolyRing(65521, (2, 1, 1))
+    x, y, z = R.gens()
+    sys = PolySystem(R, [x**2, y**3, (x + y**2 + z**2) ** 2, x * z**2 + y**4], (4, 3, 4, 4))
+    bounds = [8, 8, 8, 8]
+    want = prefix_ideal_dims(sys, bounds)
+    counts = {"Polynomial": 0, "reduce_rows": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "Polynomial", counting("Polynomial", engine.Polynomial))
+        mp.setattr(linalg, "reduce_rows", counting("reduce_rows", linalg.reduce_rows))
+        matrix_gb_whomog(sys)
+        assert counts["Polynomial"] > 0 and counts["reduce_rows"] > 0
+        counts.update(Polynomial=0, reduce_rows=0)
+        mp.setattr(engine, "row_echelon", None)
+        assert prefix_ideal_dims(sys, bounds) == want
+    assert counts == {"Polynomial": 0, "reduce_rows": 0}
+
+
+def test_monomial_tables_are_shared_and_read_only():
+    import wgb.engine as engine
+
+    W = (3, 2, 1)
+    monos, arr, last = engine._monomial_table(W, 7)
+    assert engine._monomial_table(W, 7)[1] is arr
+    assert sorted(monos) == sorted(monomials_of_wdeg(W, 7)) and isinstance(monos, tuple)
+    assert arr.tolist() == [list(m) for m in monos]
+    for a in (arr, last):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert engine._monomial_table.cache_info().maxsize == engine.MONOMIAL_TABLES

@@ -1,16 +1,24 @@
 """The GF(p) elimination kernel against the row-by-row oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 from elimination_oracle import eliminate_rows
 
-from wgb.linalg import BASE_ROWS, SPARSE_ROW_NONZEROS, row_echelon
+from wgb.linalg import BASE_ROWS, SPARSE_ROW_NONZEROS, row_echelon, row_rank_profile
 
 PRIMES = (2, 3, 65521, 2**31 - 1)
+SHAPES = [
+    (1, 1), (3, 7), (7, 3),
+    (BASE_ROWS, 20), (BASE_ROWS + 1, 20),  # both sides of the threshold
+    (40, 70), (70, 40), (130, 90), (90, 130),
+]
 
 
 def _assert_kernel_matches_oracle(A, p):
     want_lead, kept = eliminate_rows(A, p)
+    assert row_rank_profile(A.copy(), p).tolist() == want_lead
     lead, E = row_echelon(A.copy(), p)
     assert lead.tolist() == want_lead
     piv = lead[lead >= 0]
@@ -45,16 +53,63 @@ def _random_matrices(rng, p, m, n):
 @pytest.mark.parametrize("p", PRIMES)
 def test_row_echelon_matches_oracle(p):
     rng = np.random.default_rng(p % 1000)
-    shapes = [
-        (1, 1), (3, 7), (7, 3),
-        (BASE_ROWS, 20), (BASE_ROWS + 1, 20),  # both sides of the threshold
-        (40, 70), (70, 40), (130, 90), (90, 130),
-    ]
-    for m, n in shapes:
+    for m, n in SHAPES:
         for A in _random_matrices(rng, p, m, n):
             _assert_kernel_matches_oracle(A, p)
     zero = np.zeros((30, 12), dtype=np.int64)
     _assert_kernel_matches_oracle(zero, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("path", ["rows", "blocked"])
+def test_row_rank_profile_matches_oracle_on_each_path(p, path, monkeypatch):
+    # the count-only call leaves out the clearing steps of both paths: force
+    # every matrix onto the row loop, or split it down to single rows
+    import wgb.linalg as linalg
+
+    if path == "rows":
+        monkeypatch.setattr(linalg, "BASE_ROWS", 10**9)
+    else:
+        monkeypatch.setattr(linalg, "BASE_ROWS", 1)
+        monkeypatch.setattr(linalg, "SPARSE_ROW_NONZEROS", -1)
+    rng = np.random.default_rng(p % 997)
+    for m, n in SHAPES:
+        for A in _random_matrices(rng, p, m, n) + [np.zeros((m, n), dtype=np.int64)]:
+            want = eliminate_rows(A, p)[0]
+            assert row_rank_profile(A.copy(), p).tolist() == want
+            assert row_rank_profile(A.astype(np.int32), p).tolist() == want
+            assert row_echelon(A.copy(), p)[0].tolist() == want
+
+
+def test_row_rank_profile_skips_the_clearing_steps(monkeypatch):
+    # the clearing steps reduce kept echelon rows: the row loop's final pass
+    # and the blocked path's update of the top half.  The count-only call
+    # makes neither for the whole matrix; its top halves stay reduced, as
+    # the reduction of each bottom half by its top half needs them
+    import wgb.linalg as linalg
+
+    calls = []  # (clearing step?, rows of the matrix being echelonned)
+    inner = linalg.reduce_rows
+
+    def recorded(X, piv, E, p):
+        caller = sys._getframe(1)
+        clearing = caller.f_code.co_name == "_echelon_rows" or X is caller.f_locals.get("E_t")
+        calls.append((clearing, caller.f_locals["A"].shape[0]))
+        return inner(X, piv, E, p)
+
+    monkeypatch.setattr(linalg, "reduce_rows", recorded)
+    rng = np.random.default_rng(5)
+    for m, n in [(BASE_ROWS, 20), (8 * BASE_ROWS, 60)]:
+        A = rng.integers(0, 65521, size=(m, n), dtype=np.int64)
+        A[1::4] = A[::4]  # dependent rows
+        row_echelon(A.copy(), 65521)
+        full = list(calls)
+        calls.clear()
+        assert row_rank_profile(A.copy(), 65521).tolist() == eliminate_rows(A, 65521)[0]
+        assert (True, m) in full and (True, m) not in calls
+        assert sum(c for c, _ in calls) < sum(c for c, _ in full)
+        assert [c for c in calls if not c[0]] == [c for c in full if not c[0]]
+        calls.clear()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -79,9 +134,9 @@ def test_row_echelon_takes_both_paths(monkeypatch):
     calls = []
     inner = linalg._echelon_rows
 
-    def counted(A, p):
+    def counted(A, p, reduced):
         calls.append(A.shape[0])
-        return inner(A, p)
+        return inner(A, p, reduced)
 
     monkeypatch.setattr(linalg, "_echelon_rows", counted)
     rng = np.random.default_rng(3)

@@ -253,6 +253,20 @@ def test_semiregular_inconclusive_window():
     assert v.semiregular is None
 
 
+def test_negative_d_max_is_rejected():
+    # nothing would be checked below degree 0: the rank clause held
+    # vacuously, and with no truncation degree the verdict was semi-regular
+    R = PolyRing(7, (1, 1, 1))
+    x = R.gens()[0]
+    sys = PolySystem(R, [x**2, x**2], (2, 2))
+    v = is_semiregular(sys)
+    assert (v.semiregular, v.first_failure) == (False, (2, 0, 1))
+    assert is_semiregular(sys, d_max=0).first_failure == (2, 0, 1)
+    for check in (is_semiregular, structure_report):
+        with pytest.raises(ValueError, match="d_max"):
+            check(sys, d_max=-1)
+
+
 def test_random_homogeneous_support_and_determinism():
     a1 = random_w_homogeneous_system((3, 2, 1), (6, 6, 6), seed=1)
     a2 = random_w_homogeneous_system((3, 2, 1), (6, 6, 6), seed=1)

@@ -42,6 +42,9 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
             ("wgb.structure", "buchberger"),
             ("wgb.engine", "semiregular_truncation_degree"),
             ("wgb.engine", "staircase_census"),
+            # the layers of a count-only signature run
+            ("wgb.structure", "prefix_ideal_dims"),
+            ("wgb.engine", "monomials_of_wdeg"),
         } <= bindings
     finally:
         tracer.restore()
@@ -51,3 +54,28 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
     assert wgb.structure.buchberger is wgb.engine.buchberger
     assert wgb.engine.semiregular_truncation_degree is wgb.series.semiregular_truncation_degree
     assert wgb.engine.staircase_census is wgb.series.staircase_census
+
+
+def test_a_monomial_table_miss_goes_through_the_traced_binding():
+    # the monomial tables are shared between runs; each one made is still
+    # one call of wgb.engine.monomials_of_wdeg, one monomial.enumerate span
+    from wgb import PolyRing, PolySystem
+
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    W = (5, 3, 1)
+    try:
+        tracing.install(tracer)
+        wgb.engine._monomial_table.cache_clear()
+        wgb.engine._monomial_table(W, 11)
+        wgb.engine._monomial_table(W, 11)
+        assert [span[0] for span in tracer.take()] == ["monomial.enumerate"]
+        R = PolyRing(7, W)
+        x, y, z = R.gens()
+        wgb.structure.is_semiregular(PolySystem(R, [x * y, z**4], (8, 4)))
+        names = [span[0] for span in tracer.take()]
+    finally:
+        tracer.restore()
+        wgb.engine._monomial_table.cache_clear()
+    assert names.count("engine.prefix_dims") == 1
+    assert "monomial.enumerate" in names
