@@ -14,6 +14,7 @@ from typing import Optional
 
 from .errors import ArityError
 from .monomial import as_weights
+from .series import monomial_census
 
 
 def _check_square(weights, degrees):
@@ -59,34 +60,20 @@ def frobenius_number(weights):
     """Largest weighted degree with no monomials at all.
 
     Returns -1 when some weight is 1 (every degree is reachable); requires
-    coprime weights otherwise.
+    coprime weights otherwise.  It is the last zero of the monomial census
+    up to (w_min - 1)(w_max - 1), past Schur's bound g <= (w_min - 1)(w_max
+    - 1) - 1 (Brauer, "On a problem of partitions", Amer. J. Math. 1942).
     """
     W = as_weights(weights)
-    ws = sorted(set(W.weights))
-    if ws[0] == 1:
+    if 1 in W.weights:
         return -1
     g = 0
-    for w in ws:
+    for w in W:
         g = gcd(g, w)
     if g > 1:
         raise ValueError(f"weights {W.weights} have gcd {g} > 1: no Frobenius number")
-    # sieve reachability until a full run of min(w) consecutive hits
-    wmin, wmax = ws[0], ws[-1]
-    bound = wmax * wmax + wmin
-    reach = [False] * (bound + 1)
-    reach[0] = True
-    last_gap = 0
-    run = 0
-    for v in range(1, bound + 1):
-        reach[v] = any(v >= w and reach[v - w] for w in ws)
-        if reach[v]:
-            run += 1
-            if run >= wmin:
-                break
-        else:
-            run = 0
-            last_gap = v
-    return last_gap
+    census = monomial_census(W.weights, (min(W) - 1) * (W.max - 1))
+    return max(d for d, count in enumerate(census) if not count)
 
 
 def first_gap_degree(weights, degrees):
@@ -120,16 +107,10 @@ def weighted_bezout(weights, degrees):
 
 
 def sylvester_denumerant(d, weights):
-    """Number of monomials of weighted degree exactly d (coin-counting DP)."""
+    """Number of monomials of weighted degree exactly d."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    W = as_weights(weights)
-    dp = [0] * (d + 1)
-    dp[0] = 1
-    for w in W:
-        for v in range(w, d + 1):
-            dp[v] += dp[v - w]
-    return dp[d]
+    return monomial_census(as_weights(weights).weights, d)[d]
 
 
 def hermite_largest_root(k):

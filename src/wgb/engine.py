@@ -225,7 +225,9 @@ class _MatrixRun:
         self.ring = sys.ring
         self.p = sys.ring.field.p
         self.ws = sys.ring.weights
-        self.inputs = [f.monic() for f in sys.polys]
+        # row scaling changes neither the reduced echelon form nor the rank
+        # profile, so the inputs are taken as given
+        self.inputs = list(sys.polys)
         self.degrees = [f.wdeg() for f in self.inputs]  # -1 for a zero input
         self._terms = [
             (np.array([e for e, _ in f.terms], dtype=np.int64), np.array([c for _, c in f.terms]))
@@ -240,11 +242,11 @@ class _MatrixRun:
         self.restricted_pivots = {}  # degree -> those on monomials in x_0..x_i
         self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
         self._paired = 0  # harvested elements counted in lcm_degree
-        self.stats = GBStats(engine="matrix")
         self.table = partial(_monomial_table, self.ws.weights)
 
     def run_degree(self, d, n_inputs=None):
-        """Build and reduce the degree-d matrix; returns True if any row existed.
+        """Build and reduce the degree-d matrix; returns its DegreeRecord, or
+        None when the degree has no row.
 
         Rows u*f_i come in input order, multipliers u increasing; the
         signature criterion skips the u divisible by the leading term of an
@@ -266,11 +268,9 @@ class _MatrixRun:
                 blocks.append((i, mults))
         nrows = sum(len(mults) for _, mults in blocks)
         if not nrows:
-            return False
+            return None
         cols, col_arr, last = self.table(d)
         ncols = len(cols)
-        self.stats.max_matrix_rows = max(self.stats.max_matrix_rows, nrows)
-        self.stats.max_matrix_cols = max(self.stats.max_matrix_cols, ncols)
 
         # mixed-radix codes, the last exponent the most significant digit,
         # increase along the columns and locate each product
@@ -303,10 +303,8 @@ class _MatrixRun:
         self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
         zeros_in = np.bincount(row_input, minlength=len(self.inputs)) - new_pivots
         zero = nrows - len(producers)
-        self.stats.reductions_to_zero += zero
-        self.stats.observed_dreg = max(self.stats.observed_dreg, d)
         per_input = tuple(new_pivots.tolist()), tuple(zeros_in.tolist())
-        self.stats.degrees.append(DegreeRecord(d, nrows, skipped, ncols, len(producers), zero, *per_input))
+        record = DegreeRecord(d, nrows, skipped, ncols, len(producers), zero, *per_input)
 
         # a new leading monomial not divisible by an earlier one is harvested;
         # two of one degree never divide each other
@@ -314,14 +312,13 @@ class _MatrixRun:
         harvest = np.flatnonzero(~_divisible(new_lms, lms))
         self.lms = np.concatenate([lms, new_lms[harvest]])
         self.tags = np.concatenate([tags, producers[harvest]])
-        if self.count_only:
-            return True
-        for k in harvest.tolist():
-            row = E[k]
-            nz = np.flatnonzero(row)
-            terms = tuple(zip([cols[j] for j in nz.tolist()], row[nz].tolist()))
-            self.basis.append(Polynomial(self.ring, terms))
-        return True
+        if not self.count_only:
+            for k in harvest.tolist():
+                row = E[k]
+                nz = np.flatnonzero(row)
+                terms = tuple(zip([cols[j] for j in nz.tolist()], row[nz].tolist()))
+                self.basis.append(Polynomial(self.ring, terms))
+        return record
 
     def h(self, e):
         """dim (R/I)_e once the run has passed e: monomials less pivots."""
@@ -382,8 +379,9 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     """
     run = _MatrixRun(sys)
     ring = run.ring
+    stats = GBStats(engine="matrix")
     if not any(run.inputs):
-        return GroebnerBasis(ring, (), run.stats)
+        return GroebnerBasis(ring, (), stats)
     if expected_series is not None and not expected_series.polynomial:
         raise ValueError("Hilbert-driven termination needs a polynomial series")
 
@@ -391,9 +389,15 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     for d in count(min(d for d in run.degrees if d >= 0)):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError(
-                f"matrix engine exceeded its budget at degree {d}", stats=run.stats
+                f"matrix engine exceeded its budget at degree {d}", stats=stats
             )
-        run.run_degree(d)
+        record = run.run_degree(d)
+        if record is not None:
+            stats.degrees.append(record)
+            stats.max_matrix_rows = max(stats.max_matrix_rows, record.rows)
+            stats.max_matrix_cols = max(stats.max_matrix_cols, record.cols)
+            stats.reductions_to_zero += record.zero_reductions
+            stats.observed_dreg = d
         if expected_series is not None:
             divergence = run.census_divergence(expected_series, d)
             if divergence is None:
@@ -405,14 +409,14 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     # echelon form of a matrix spanning I_d, so it is monic and its tail
     # lies on non-pivot columns, the monomials outside LT(I)
     polys = sorted(run.basis, key=lambda f: ring.order.key(f.lm))
-    gb = GroebnerBasis(ring, polys, run.stats)
+    gb = GroebnerBasis(ring, polys, stats)
     if divergence is None:
         return gb
     e, got, want = divergence
     raise IncompleteBasisError(
         f"the basis is complete at degree {d}, but its census leaves the expected "
         f"Hilbert series at degree {e}, {got} against {want}",
-        basis=gb, stats=run.stats, first_divergence=divergence,
+        basis=gb, stats=stats, first_divergence=divergence,
     )
 
 
@@ -440,7 +444,7 @@ def prefix_ideal_dims(sys, up_to_degrees):
     out = [[[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees] for _ in range(2)]
     for d in range(top + 1):
         k = max(i + 1 for i, u in enumerate(up_to_degrees) if u >= d)
-        if not run.run_degree(d, n_inputs=k):
+        if run.run_degree(d, n_inputs=k) is None:
             continue
         for rows, counts in zip(out, (run.prefix_pivots[d], run.restricted_pivots[d])):
             for i, c in enumerate(counts[:k]):

@@ -45,15 +45,6 @@ class PrimeField:
     def normalize(self, a):
         return a % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:

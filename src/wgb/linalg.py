@@ -30,16 +30,22 @@ SPARSE_ROW_NONZEROS = 8
 # and products have at most about this many entries, so that its
 # temporaries stay a small fraction of a large matrix
 _BLOCK_ENTRIES = 1 << 13
+# zeros maps arrays of at least this many bytes
+_MAPPED_BYTES = 128 << 10
 
 
 def zeros(shape, dtype):
-    """A zero-filled array in an anonymous mapping.  Its pages are touched
-    only when written and go back to the system with the last view of the
-    array; a large malloc block, once freed, raises malloc's thresholds and
-    keeps the next ones resident in the heap."""
+    """A zero-filled array, from 128 KiB on in an anonymous mapping.  Its
+    pages are touched only when written and go back to the system with the
+    last view of the array; a large malloc block, once freed, raises
+    malloc's thresholds and keeps the next ones resident in the heap.  A
+    small array is a plain np.zeros: a mapping costs some 30 times as much
+    to make."""
     count = int(np.prod(shape))
     itemsize = np.dtype(dtype).itemsize
-    buf = mmap.mmap(-1, max(count, 1) * itemsize)
+    if count * itemsize < _MAPPED_BYTES:
+        return np.zeros(shape, dtype)
+    buf = mmap.mmap(-1, count * itemsize)
     return np.frombuffer(buf, dtype=dtype)[:count].reshape(shape)
 
 

@@ -58,10 +58,6 @@ class WeightSystem:
     def max(self):
         return max(self.weights)
 
-    @property
-    def is_trivial(self):
-        return all(w == 1 for w in self.weights)
-
 
 def as_weights(w):
     """Coerce a WeightSystem or iterable of ints to a WeightSystem."""

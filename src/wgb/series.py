@@ -330,12 +330,16 @@ def delta_semiregular_n_plus_1(weights, degrees):
 
 
 # ---------------------------------------------------------------------------
-# staircase census of monomial ideals
+# monomial counts and staircase censuses of monomial ideals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _free_census(ws, N):
-    return tuple(_divide_window([1], list(ws), N))
+# the counts of at most this many (weights, N) pairs are kept
+@lru_cache(maxsize=1024)
+def monomial_census(weights, N):
+    """Number of monomials of each weighted degree 0..N, as a tuple: the
+    Sylvester denumerants of a tuple of weights.  No weights give the
+    monomial 1 alone."""
+    return tuple(_divide_window([1], weights, N))
 
 
 def _minimalize(gens):
@@ -368,7 +372,7 @@ def staircase_census(lt_monomials, weights, N):
         if any(all(a == 0 for a in g) for g in gens):
             res = [0] * (N + 1)
         elif not gens:
-            res = list(_free_census(ws, N))
+            res = list(monomial_census(ws, N))
         elif all(sum(1 for a in g if a) == 1 for g in gens):
             # pure variable powers: numerator product over the free census
             num = _numerator([wdeg(g, ws) for g in gens])
@@ -405,38 +409,28 @@ def monomial_ideal_is_zero_dim(lt_monomials, n):
     return all(have)
 
 
-def staircase_degree_bound(lt_monomials, weights):
-    """Upper bound on staircase degrees for a zero-dimensional monomial ideal."""
-    W = as_weights(weights)
-    n = len(W)
-    cap = [None] * n
-    for g in lt_monomials:
-        nz = [i for i, a in enumerate(g) if a]
-        if len(nz) == 1:
-            i = nz[0]
-            cap[i] = g[i] if cap[i] is None else min(cap[i], g[i])
-    if any(c is None for c in cap):
-        raise PositiveDimensionError("no pure power for some variable")
-    return sum((c - 1) * w for c, w in zip(cap, W.weights))
-
-
 def quotient_hilbert_series(gb, N=None):
     """Hilbert series of the quotient by the leading-term ideal of a basis.
 
-    For zero-dimensional ideals the full polynomial is returned; otherwise
-    a window up to N (which is then required).
+    For zero-dimensional ideals the full polynomial is returned, the
+    staircase `fglm.staircase` grows counted by weighted degree; otherwise
+    a window up to N (which is then required), the census of the pivot
+    recursion, whose cost does not grow with the counts.
     """
     ring = gb.ring
     W = ring.weights
-    lts = [f.lm for f in gb.polys]
+    lts = gb.lt_monomials()
     if any(all(a == 0 for a in g) for g in lts):
         return HilbertSeries([], window=N or 0, polynomial=True)
-    zero_dim = monomial_ideal_is_zero_dim(lts, ring.n) if lts else ring.n == 0
-    if zero_dim:
-        bound = staircase_degree_bound(lts, W)
-        upto = bound if N is None else max(N, bound)
-        coeffs = staircase_census(lts, W, upto)
-        return HilbertSeries(coeffs, window=upto, polynomial=True)
+    if monomial_ideal_is_zero_dim(lts, ring.n):
+        # fglm builds on this module
+        from .fglm import staircase
+
+        degrees = [wdeg(m, W) for m in staircase(gb)]
+        coeffs = [0] * (max(degrees) + 1)
+        for d in degrees:
+            coeffs[d] += 1
+        return HilbertSeries(coeffs, window=N, polynomial=True)
     if N is None:
         raise PositiveDimensionError(
             "positive-dimensional quotient: a window N is required"

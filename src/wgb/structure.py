@@ -31,10 +31,12 @@ from .engine import buchberger, prefix_ideal_dims  # noqa: F401
 from .series import (
     default_window,
     expand_rational,
+    monomial_census,
     semiregular_truncation_degree,
-    staircase_census,
     truncate_semiregular,
 )
+# not called here; perfbench/tracing.py wraps this binding
+from .series import staircase_census  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +96,7 @@ def _hilbert_functions(sys, bounds, top):
     (R/(f_1..f_i))_e up to bounds[i-1] (h_0 up to top), r[i] the restricted
     dimensions of `prefix_ideal_dims` (r[0] zero up to top)."""
     dims, restricted = prefix_ideal_dims(sys, bounds)
-    free = staircase_census([], sys.ring.weights, top)
+    free = list(monomial_census(sys.ring.weights.weights, top))
     h = [free] + [[free[e] - dim for e, dim in enumerate(row)] for row in dims[1:]]
     return h, [[0] * (top + 1)] + restricted[1:]
 
@@ -123,8 +125,7 @@ def _noether_verdict(sys, i, restricted):
     R/(f_1..f_i, x_{i+1}..x_n), the degree-e monomials of x_1..x_i less the
     restricted ideal dimension, against the extended product form."""
     degrees, window = _extended(sys, i)
-    trailing = [tuple(int(k == j) for k in range(sys.n)) for j in range(i, sys.n)]
-    free = staircase_census(trailing, sys.ring.weights, window)
+    free = monomial_census(sys.ring.weights.weights[:i], window)
     g = [free[e] - dim for e, dim in enumerate(restricted[i][: window + 1])]
     return _regularity_verdict(sys.ring.weights, degrees, window, g)
 

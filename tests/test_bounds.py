@@ -66,6 +66,16 @@ def test_frobenius_brute_force_grid():
                 continue
             # pairwise closed form ab - a - b
             assert frobenius_number((a, b)) == a * b - a - b
+    # three and four weights: the last degree a reachability sieve misses
+    for n in (3, 4):
+        for ws in combinations_with_replacement(range(2, 10), n):
+            if math.gcd(*ws) != 1:
+                continue
+            top = max(ws) ** 2
+            reach = [True] + [False] * top
+            for v in range(1, top + 1):
+                reach[v] = any(v >= w and reach[v - w] for w in ws)
+            assert frobenius_number(ws) == max(v for v in range(top + 1) if not reach[v]), ws
 
 
 def test_conjectured_dreg_values():

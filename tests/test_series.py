@@ -27,7 +27,7 @@ from wgb import (
 )
 from wgb.errors import ArityError, InsufficientWindowError, PositiveDimensionError
 from wgb.monomial import monomials_of_wdeg
-from wgb.series import _numerator, staircase_census
+from wgb.series import _numerator, monomial_ideal_is_zero_dim, staircase_census
 from wgb.structure import is_regular_sequence, random_w_homogeneous_system
 
 
@@ -262,6 +262,21 @@ def test_quotient_series_matches_rational_for_regular(sys):
     assert (s == expected) == is_regular_sequence(sys).regular
     if s == expected:
         assert ideal_degree(s) == weighted_bezout(W, D)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_square_systems())
+def test_zero_dim_quotient_series_counts_the_staircase(sys):
+    # the pivot-recursion census of the leading monomials is the oracle for
+    # the count of the FGLM staircase by weighted degree
+    gb = buchberger(sys)
+    lts = gb.lt_monomials()
+    assume(monomial_ideal_is_zero_dim(lts, sys.n))
+    s = quotient_hilbert_series(gb)
+    census = staircase_census(lts, sys.ring.weights, s.degree + 1)
+    while census and census[-1] == 0:
+        census.pop()
+    assert s.polynomial and s.coeffs == census
 
 
 def test_ideal_degree_requires_polynomial():

@@ -42,6 +42,7 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
             ("wgb.structure", "buchberger"),
             ("wgb.engine", "semiregular_truncation_degree"),
             ("wgb.engine", "staircase_census"),
+            ("wgb.structure", "staircase_census"),
             # the layers of a count-only signature run
             ("wgb.structure", "prefix_ideal_dims"),
             ("wgb.engine", "monomials_of_wdeg"),
@@ -54,6 +55,7 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
     assert wgb.structure.buchberger is wgb.engine.buchberger
     assert wgb.engine.semiregular_truncation_degree is wgb.series.semiregular_truncation_degree
     assert wgb.engine.staircase_census is wgb.series.staircase_census
+    assert wgb.structure.staircase_census is wgb.series.staircase_census
 
 
 def test_a_monomial_table_miss_goes_through_the_traced_binding():
