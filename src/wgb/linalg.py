@@ -8,7 +8,9 @@ above that the operands are split into 16-bit halves (Dumas-Giorgi-Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
 packages", TOMS 2008).
 The elimination follows the recursive row rank profile scheme of
-Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case.
+Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case,
+after the leading rows with one nonzero entry are taken as pivots by
+inspection.
 """
 
 import mmap
@@ -112,14 +114,50 @@ def row_echelon(A, p):
     and zero at every other row's leading column.  A must be an int32 or
     int64 array; it is overwritten, and E is a view of its first rows.
     """
-    return _echelon(A, p, True)
+    return _eliminate(A, p, True)
 
 
 def row_rank_profile(A, p):
     """The lead of row_echelon(A, p), without the reduced form: the steps
     that only clear entries above the pivots are left out.  A is
     overwritten."""
-    return _echelon(A, p, False)[0]
+    return _eliminate(A, p, False)[0]
+
+
+def _eliminate(A, p, reduced):
+    """(lead, E) as row_echelon gives them; unless reduced, only lead.
+
+    The leading run of rows with one nonzero entry each (in a signature
+    matrix, the multiples of pure powers that come first) is read off
+    without elimination: the first of them on a column is a pivot there,
+    a repeat reduces to zero.  Reducing the other rows by these pivots
+    clears their columns, so the rest is eliminated on the remaining
+    columns alone."""
+    m, n = A.shape
+    k = 0
+    if m and np.count_nonzero(A[0]) == 1:
+        single = np.count_nonzero(A, axis=1) == 1
+        k = m if single.all() else int(single.argmin())
+    if not k:
+        return _echelon(A, p, reduced)
+    cols = A[:k].argmax(axis=1)  # entries lie in [0, p): the nonzero is the largest
+    taken, rows = np.unique(cols, return_index=True)
+    lead = np.full(m, -1, dtype=np.int64)
+    lead[rows] = taken
+    free = np.ones(n, dtype=bool)
+    free[taken] = False
+    free = np.flatnonzero(free)
+    lead_rest, E_rest = _echelon(A[k:, free], p, reduced)
+    hit = lead_rest >= 0
+    lead[k:][hit] = free[lead_rest[hit]]
+    if not reduced:
+        return lead, None
+    # E: the unit rows e_j in row order, then the rest's rows on their columns
+    r_u, r_b = len(taken), len(E_rest)
+    A[: r_u + r_b] = 0
+    A[np.arange(r_u), cols[np.sort(rows)]] = 1
+    A[r_u : r_u + r_b, free] = E_rest
+    return lead, A[: r_u + r_b]
 
 
 def _echelon(A, p, reduced):
@@ -160,6 +198,8 @@ def _echelon_rows(A, p, reduced):
     reduced, a final pass clears the entries the kept rows have in later
     pivot columns."""
     m, n = A.shape
+    if not n:  # argmax needs a column
+        return np.full(m, -1, dtype=np.int64), (A[:0] if reduced else None)
     nonzero = A != 0
     first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1).tolist()
     del nonzero

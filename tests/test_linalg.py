@@ -145,8 +145,10 @@ def test_row_echelon_takes_both_paths(monkeypatch):
     row_echelon(dense, 65521)
     assert len(calls) > 1 and max(calls) <= BASE_ROWS
     calls.clear()
+    # two entries a row: leading rows with one entry would skip the loop
     sparse = np.zeros((m, 100), dtype=np.int64)
-    sparse[np.arange(m), rng.integers(0, 100, size=m)] = 1
+    sparse[np.arange(m), rng.integers(0, 50, size=m)] = 1
+    sparse[np.arange(m), rng.integers(50, 100, size=m)] = 1
     assert np.count_nonzero(sparse) <= SPARSE_ROW_NONZEROS * m
     row_echelon(sparse, 65521)
     assert calls == [m]
@@ -163,3 +165,89 @@ def test_row_echelon_int32_storage():
             lead, E = row_echelon(A.astype(np.int32), p)
             assert lead.tolist() == eliminate_rows(A, p)[0]
             assert E.tolist() == row_echelon(A.copy(), p)[1].tolist()
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
+def test_kernel_accepts_a_matrix_without_rows_or_columns(shape):
+    for dtype in (np.int64, np.int32):
+        A = np.zeros(shape, dtype=dtype)
+        assert row_rank_profile(A.copy(), 7).tolist() == [-1] * shape[0]
+        lead, E = row_echelon(A.copy(), 7)
+        assert lead.tolist() == [-1] * shape[0]
+        assert E.shape == (0, shape[1])
+
+
+def _signature_shaped(rng, p, n):
+    """Matrices whose leading rows hold one nonzero entry each, as the
+    multiples of pure powers do in a signature run, in every arrangement
+    that the kernel's handling of those rows must get right."""
+    def units(k, cols):
+        U = np.zeros((k, n), dtype=np.int64)
+        U[np.arange(k), cols] = rng.integers(1, p, size=k)
+        return U
+
+    def rest(m, density):
+        return rng.integers(0, p, size=(m, n), dtype=np.int64) * (rng.random((m, n)) < density)
+
+    repeated = rng.integers(0, n // 2, size=n)  # repeated columns
+    late = rest(12, 0.3)
+    late[5] = units(1, [repeated[0]])[0]  # a unit row after the first other one
+    late[8] = units(1, [n - 1])[0]
+    every = units(n + 3, np.concatenate([rng.permutation(n), repeated[:3]]))
+    return [
+        np.vstack([units(n, repeated), rest(30, 0.3)]),
+        np.vstack([units(n, repeated), rest(60, 0.9)]),  # a dense rest, split
+        np.vstack([units(3, repeated[:3]), late]),
+        np.vstack([every, rest(10, 0.5)]),  # the unit rows take every column
+        every,  # every row a unit row
+        (rest(20, 0.5) + units(20, rng.integers(0, n, size=20))) % p,  # no unit row
+    ]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_leading_unit_rows_match_oracle(p):
+    rng = np.random.default_rng(p % 991)
+    for n in (6, 25):
+        for A in _signature_shaped(rng, p, n):
+            _assert_kernel_matches_oracle(A, p)
+            _assert_kernel_matches_oracle(A.astype(np.int32), p)
+
+
+def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
+    # on the signature matrices of a mixed-power sequence, the row loop
+    # gets the rows after the leading unit rows alone, on the columns no
+    # unit row took
+    import wgb.engine as engine
+    import wgb.linalg as linalg
+    from wgb.engine import prefix_ideal_dims
+    from wgb.structure import froberg_sequence
+
+    monkeypatch.setattr(linalg, "BASE_ROWS", 10**9)  # each matrix to the loop whole
+    reached = []
+    inner_rows = linalg._echelon_rows
+
+    def counted(A, p, reduced):
+        reached.append(A.copy())
+        return inner_rows(A, p, reduced)
+
+    monkeypatch.setattr(linalg, "_echelon_rows", counted)
+    seen = []  # (rows, leading unit rows) of each matrix
+    inner = engine.row_rank_profile
+
+    def checked(A, p):
+        single = np.count_nonzero(A, axis=1) == 1
+        k = len(A) if single.all() else int(single.argmin())
+        free = np.setdiff1d(np.arange(A.shape[1]), A[:k].argmax(axis=1))
+        want = A[k:, free]
+        oracle = eliminate_rows(A, p)[0]
+        reached.clear()
+        lead = inner(A, p)
+        assert lead.tolist() == oracle
+        assert len(reached) == 1 and reached[0].tolist() == want.tolist()
+        seen.append((len(A), k))
+        return lead
+
+    monkeypatch.setattr(engine, "row_rank_profile", checked)
+    prefix_ideal_dims(froberg_sequence((2, 1, 1), (4, 3, 3), 4), [10] * 4)
+    rows, units = (sum(c) for c in zip(*seen))
+    assert units > rows // 2 and any(0 < k < m for m, k in seen)
