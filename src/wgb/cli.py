@@ -8,6 +8,7 @@ indented key-value rendering.
 import argparse
 import json
 import os
+import re
 import sys as _sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -30,7 +31,12 @@ from .sysio import format_polynomial, load_system, render_report, write_system
 
 
 def _ints(text):
-    return tuple(int(x) for x in text.replace(" ", "").split(",") if x)
+    """The integers of a list separated by commas and/or whitespace."""
+    items = text.replace(",", " ").split()
+    bad = [x for x in items if not re.fullmatch(r"[-+]?[0-9]+", x)]
+    if bad:
+        raise ValueError(f"not an integer: {', '.join(map(repr, bad))} in {text!r}")
+    return tuple(int(x) for x in items)
 
 
 def _emit(args, data):

@@ -33,6 +33,10 @@ class ArityError(ValueError):
     """Wrong number of degrees/weights for the requested operation."""
 
 
+class SystemFormatError(ValueError):
+    """A system file or polynomial expression that breaks the file format."""
+
+
 class EmptySupportError(ValueError):
     """No monomials exist at a requested weighted degree."""
 

@@ -112,7 +112,8 @@ def row_echelon(A, p):
     reduction by the rows above it, or -1 when it reduces to zero; E holds
     one row per independent row, in row order, monic at its leading column
     and zero at every other row's leading column.  A must be an int32 or
-    int64 array; it is overwritten, and E is a view of its first rows.
+    int64 array with entries in [0, p) (ValueError otherwise); it is
+    overwritten, and E is a view of its first rows.
     """
     return _eliminate(A, p, True)
 
@@ -132,7 +133,12 @@ def _eliminate(A, p, reduced):
     without elimination: the first of them on a column is a pivot there,
     a repeat reduces to zero.  Reducing the other rows by these pivots
     clears their columns, so the rest is eliminated on the remaining
-    columns alone."""
+    columns alone.  An entry outside [0, p) is refused: the row loop would
+    keep a row whose pivot entry is 0 mod p, and argmax would misread a
+    negative one."""
+    unsigned = np.uint32 if A.itemsize == 4 else np.uint64  # negatives wrap above p
+    if A.size and A.view(unsigned).max() >= p:
+        raise ValueError(f"matrix entries must lie in [0, {p})")
     m, n = A.shape
     k = 0
     if m and np.count_nonzero(A[0]) == 1:

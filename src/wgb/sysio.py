@@ -9,94 +9,47 @@ Format:
     poly ...
 
 Variables must be declared before use; expressions are sums of terms,
-each a '*'-separated product of integer constants and powers NAME^INT.
+each a '*'-separated product of integer constants and powers NAME^INT,
+with whitespace between tokens only.  A line off this grammar, an
+undeclared variable or a name declared twice raises SystemFormatError
+naming the line.
 """
 
 import re
 
+from .errors import SystemFormatError
 from .field import DEFAULT_MODULUS, PrimeField
 from .monomial import WeightSystem
 from .poly import PolyRing, PolySystem
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
-
-
-class SystemFormatError(ValueError):
-    pass
-
-
-def _tokenize(expr):
-    pos = 0
-    out = []
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if not m or m.end() == pos:
-            if expr[pos:].strip():
-                raise SystemFormatError(f"cannot tokenize near {expr[pos:pos+15]!r}")
-            break
-        pos = m.end()
-        if m.group("int") is not None:
-            out.append(("int", int(m.group("int"))))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-    return out
+# [sign] term (sign term)*, a term factor ('*' factor)*, a factor INT or
+# NAME ['^' INT]; whitespace stands only before a token or at the end, so
+# that no two whitespace runs can split one run between them
+_FACTOR = r"\s*(?:[0-9]+|[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*[0-9]+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*{_FACTOR})*"
+_EXPRESSION = re.compile(rf"(?:\s*[-+])?{_TERM}(?:\s*[-+]{_TERM})*\s*")
 
 
 def parse_polynomial(expr, ring):
     """Parse a sum of monomial terms into a polynomial of the given ring."""
-    toks = _tokenize(expr)
-    if not toks:
-        raise SystemFormatError("empty polynomial expression")
-    name_index = {nm: i for i, nm in enumerate(ring.names)}
+    if not _EXPRESSION.fullmatch(expr):
+        raise SystemFormatError(
+            f"malformed polynomial {expr!r}: want [sign] term (sign term)*, "
+            "a term INT or NAME[^INT] factors joined by '*'"
+        )
+    index = {nm: i for i, nm in enumerate(ring.names)}
     acc = {}
-    i = 0
-    sign = 1
-    # leading sign
-    if toks[0] == ("op", "-"):
-        sign = -1
-        i = 1
-    elif toks[0] == ("op", "+"):
-        i = 1
-    while i < len(toks):
-        coeff = sign
-        exps = [0] * ring.n
-        expect_factor = True
-        while i < len(toks):
-            kind, val = toks[i]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op" and val == "*":
-                i += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise SystemFormatError(f"missing '*' before {val!r}")
-            if kind == "int":
-                coeff *= val
-                i += 1
-            elif kind == "name":
-                if val not in name_index:
-                    raise SystemFormatError(f"undeclared variable {val!r}")
-                e = 1
-                i += 1
-                if i < len(toks) and toks[i] == ("op", "^"):
-                    if i + 1 >= len(toks) or toks[i + 1][0] != "int":
-                        raise SystemFormatError("expected integer exponent after '^'")
-                    e = toks[i + 1][1]
-                    i += 2
-                exps[name_index[val]] += e
+    for sign, term in re.findall(r"([-+]?)([^-+]+)", re.sub(r"\s+", "", expr)):
+        coeff, exps = (-1 if sign == "-" else 1), [0] * ring.n
+        for factor in term.split("*"):
+            name, _, e = factor.partition("^")
+            if name.isdigit():
+                coeff *= int(name)
+            elif name in index:
+                exps[index[name]] += int(e or 1)
             else:
-                raise SystemFormatError(f"unexpected token {val!r}")
-            expect_factor = False
-        key = tuple(exps)
-        acc[key] = acc.get(key, 0) + coeff
-        if i < len(toks):
-            sign = 1 if toks[i] == ("op", "+") else -1
-            i += 1
-            if i == len(toks):
-                raise SystemFormatError("dangling sign at end of expression")
+                raise SystemFormatError(f"undeclared variable {name!r}")
+        acc[tuple(exps)] = acc.get(tuple(exps), 0) + coeff
     return ring.from_map(acc)
 
 
@@ -157,6 +110,9 @@ def parse_system(text):
             p = int(rest)
         elif head == "vars":
             names = tuple(rest.split())
+            repeated = [nm for i, nm in enumerate(names) if nm in names[:i]]
+            if repeated:
+                raise SystemFormatError(f"line {lineno}: variable {repeated[0]!r} declared twice")
         elif head == "weights":
             weights = tuple(int(w) for w in rest.split())
         elif head == "poly":

@@ -224,3 +224,48 @@ def test_closed_stdout_exits_quietly(tmp_path):
         os.close(w)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_int_lists_split_on_commas_and_whitespace(capsys):
+    assert wgb.cli._ints("3 2 1") == wgb.cli._ints("3,2,1") == wgb.cli._ints(" 3, 2 ,1") == (3, 2, 1)
+    assert main(["bounds", "--weights", "3 2 1", "--degrees", "6 6 6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["weights"] == [3, 2, 1]
+    assert main(["bounds", "--weights", "3,2,x", "--degrees", "6,6,6.5"]) == 2
+    assert "not an integer: 'x' in '3,2,x'" in capsys.readouterr().err
+    assert main(["gen", "--weights", "2,1", "--degrees", "4;4"]) == 2
+    assert "'4;4'" in capsys.readouterr().err
+
+
+def test_gb_lex_and_elimination_orders(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    main(["gen", "--weights", "2,1", "--degrees", "4,4", "--seed", "3", "--out", str(out)])
+    assert main(["gb", str(out), "--order", "lex", "--json"]) == 0
+    lex = json.loads(capsys.readouterr().out)
+    assert lex["order"] == "lex"
+    assert main(["fglm", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == lex["basis"]
+    assert main(["gb", str(out), "--order", "elim:1", "--json"]) == 0
+    elim = json.loads(capsys.readouterr().out)
+    assert elim["order"] == "elim:1"
+    # the elements free of the eliminated variable X1
+    assert elim["elimination_basis"] == [g for g in elim["basis"] if "X1" not in g]
+    assert elim["elimination_basis"] == ["X2^6"]
+
+
+def test_hilbert_positive_dimensional_system(tmp_path, capsys):
+    # two quadrics in three variables: four points, Hilbert function 1, 3, 4, 4, ..
+    out = tmp_path / "ud.txt"
+    main(["gen", "--weights", "1,1,1", "--degrees", "2,2", "--seed", "4", "--out", str(out)])
+    assert main(["hilbert", str(out), "--window", "6", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["polynomial"] is False
+    assert data["coeffs"] == [1, 3, 4, 4, 4, 4, 4]
+    assert main(["hilbert", str(out)]) == 2
+    assert "a window N is required" in capsys.readouterr().err
+
+
+def test_bench_table1(capsys):
+    assert main(["bench", "table1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is True and data["entries"]
+    assert all(e["match"] for e in data["entries"])

@@ -251,3 +251,19 @@ def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
     prefix_ideal_dims(froberg_sequence((2, 1, 1), (4, 3, 3), 4), [10] * 4)
     rows, units = (sum(c) for c in zip(*seen))
     assert units > rows // 2 and any(0 < k < m for m, k in seen)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("bad", ["at least p", "multiple of p", "negative"])
+def test_entries_outside_the_field_refused(dtype, bad):
+    # each used to hang the row loop or be misread by the unit-row front end
+    p = 5
+    entry = {"at least p": p + 2, "multiple of p": 2 * p, "negative": -3}[bad]
+    for A in ([[0, entry, 1], [0, 1, 0], [1, 0, 0]],  # the row loop
+              [[0, entry, 0], [1, 1, 1]]):  # a leading unit row
+        for eliminate in (row_echelon, row_rank_profile):
+            with pytest.raises(ValueError, match=r"entries must lie in \[0, 5\)"):
+                eliminate(np.array(A, dtype=dtype), p)
+    # the same matrices with entries reduced mod p are accepted
+    A = np.array([[0, entry % p, 0], [1, 1, 1]], dtype=dtype)
+    assert row_rank_profile(A, p).tolist() == ([1, 0] if entry % p else [-1, 0])

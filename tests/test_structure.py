@@ -131,6 +131,20 @@ def test_regular_sequence_with_zero_polynomial():
     assert regularity_oracle.is_regular_sequence(only_zero) == is_regular_sequence(only_zero)
 
 
+def test_empty_sequence_verdicts():
+    # no input, no run: R itself is regular up to the window, and
+    # R/(x_1..x_n) is in Noether position, on the window max w + 1
+    empty = PolySystem(ring((2, 1)), [])
+    assert is_regular_sequence(empty) == RegularityVerdict(True, False, 3)
+    assert is_noether_position(empty) == RegularityVerdict(True, True, 3)
+    assert is_snp(empty).snp and is_snp(empty).prefix_verdicts == ()
+    rep = structure_report(empty)
+    assert rep.regular == is_regular_sequence(empty)
+    assert rep.snp == is_snp(empty)
+    assert rep.semiregular == is_semiregular(empty)
+    assert rep.semiregular.semiregular and rep.semiregular.window == 2
+
+
 def test_generic_systems_regular():
     for seed in range(20):
         sys = random_w_homogeneous_system((3, 2, 1), (6, 6, 6), seed)

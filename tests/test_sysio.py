@@ -1,0 +1,110 @@
+"""The system-file grammar: polynomial expressions and header lines."""
+
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from parser_oracle import parse_polynomial as oracle_parse
+
+from wgb.errors import SystemFormatError as ErrorsSystemFormatError
+from wgb.sysio import SystemFormatError, parse_polynomial, parse_system
+
+# names with digits and underscores
+HEADER = "p 13\nvars X y_1 _z2 Ab9_\nweights 2 1 1 3\n"
+RING = parse_system(HEADER).ring
+
+
+@st.composite
+def valid_expressions(draw):
+    """[sign] term (sign term)* with random spaces and tabs around every
+    token: constants (0 included), powers (^0 included), repeated names."""
+    space = st.text(alphabet=" \t", max_size=3)
+    tokens = []
+    lead = draw(st.sampled_from(["", "+", "-"]))
+    if lead:
+        tokens.append(lead)
+    for t in range(draw(st.integers(1, 4))):
+        if t:
+            tokens.append(draw(st.sampled_from(["+", "-"])))
+        for f in range(draw(st.integers(1, 4))):
+            if f:
+                tokens.append("*")
+            if draw(st.booleans()):
+                tokens.append(str(draw(st.integers(0, 40))))
+            else:
+                tokens.append(draw(st.sampled_from(RING.names)))
+                if draw(st.booleans()):
+                    tokens += ["^", str(draw(st.integers(0, 5)))]
+    return "".join(draw(space) + tok for tok in tokens) + draw(space)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(valid_expressions())
+def test_grammar_matches_hand_written_reader(expr):
+    assert parse_polynomial(expr, RING).terms == oracle_parse(expr, RING).terms
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "X + - y_1", "X - + 3", "X +", "- + X",  # a sign followed by an empty term
+        "- - X", "X ++ y_1", "X + + y_1",  # a doubled sign
+        "*X", "X*", "X * * y_1", "3 *",  # a leading or trailing '*'
+        "-", "+", " - ",  # a bare sign
+        "X y_1", "3 X", "X^2 y_1", "2X",  # NAME NAME and INT NAME
+        "X^", "X^ + y_1", "X^y_1", "X^-2",  # '^' without an integer
+        "(X)", "(X + y_1)*3", "X*(y_1)",  # parentheses
+        "", "   ",
+    ],
+)
+def test_malformed_expression_refused(expr):
+    with pytest.raises(SystemFormatError, match="malformed polynomial"):
+        parse_polynomial(expr, RING)
+
+
+def test_hand_written_reader_misread_malformed_lines():
+    # what the grammar refuses, the old reader took for another polynomial
+    misread = {"X + - y_1": {(1, 0, 0, 0): 1, (0, 1, 0, 0): 12, (0, 0, 0, 0): 1},
+               "- - X": {(1, 0, 0, 0): 12, (0, 0, 0, 0): 12},
+               "X*": {(1, 0, 0, 0): 1},
+               "-": {}}
+    for expr, want in misread.items():
+        assert oracle_parse(expr, RING).coeff_map() == want
+        with pytest.raises(SystemFormatError):
+            parse_polynomial(expr, RING)
+
+
+def test_long_whitespace_runs_stay_linear():
+    gap = " \t" * 50_000
+    accepted = [f"X{gap}+{gap}3{gap}*{gap}y_1{gap}^{gap}2{gap}", f"{gap}-X"]
+    refused = [f"X{gap}y_1", f"X{gap}+{gap}", f"X{gap}^{gap}", f"X{gap}*{gap}",
+               f"X{gap}!", ("X" + gap + "+") * 2 + "("]
+    for expr in accepted + refused:
+        start = time.perf_counter()
+        try:
+            parse_polynomial(expr, RING)
+            assert expr in accepted
+        except SystemFormatError:
+            assert expr in refused
+        assert time.perf_counter() - start < 1.0
+
+
+def test_undeclared_variable_named_with_line():
+    with pytest.raises(SystemFormatError, match=r"line 4: undeclared variable 'Z'"):
+        parse_system(HEADER + "poly X + Z\n")
+
+
+def test_malformed_line_named():
+    with pytest.raises(SystemFormatError, match=r"line 5: malformed polynomial 'X \+ - y_1'"):
+        parse_system(HEADER + "poly X\npoly X + - y_1\n")
+
+
+def test_repeated_variable_name_refused():
+    with pytest.raises(SystemFormatError, match=r"line 2: variable 'X' declared twice"):
+        parse_system("p 13\nvars X X\nweights 2 1\npoly X^2\n")
+
+
+def test_system_format_error_is_a_typed_error():
+    assert SystemFormatError is ErrorsSystemFormatError
+    assert issubclass(SystemFormatError, ValueError)
