@@ -79,14 +79,11 @@ def frobenius_number(weights):
 def first_gap_degree(weights, degrees):
     """The degree d_0 of the first unexpected zero coefficient.
 
-    delta + 1 when some weight is 1, else delta - g with g the Frobenius
-    number (zero coefficients then appear by self-reciprocality).
+    delta - g with g the Frobenius number (zero coefficients then appear by
+    self-reciprocality); that is delta + 1 when some weight is 1.
     """
     W, D = _check_square(weights, degrees)
-    delta = sum(d - w for d, w in zip(D, W))
-    if any(w == 1 for w in W):
-        return delta + 1
-    return delta - frobenius_number(W)
+    return sum(d - w for d, w in zip(D, W)) - frobenius_number(W)
 
 
 def conjectured_dreg(weights, degrees):

@@ -416,7 +416,7 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     raise IncompleteBasisError(
         f"the basis is complete at degree {d}, but its census leaves the expected "
         f"Hilbert series at degree {e}, {got} against {want}",
-        basis=gb, stats=stats, first_divergence=divergence,
+        basis=gb, first_divergence=divergence,
     )
 
 

@@ -50,10 +50,9 @@ class IncompleteBasisError(RuntimeError):
     ideal's Hilbert function leaves the series, with both coefficients.
     """
 
-    def __init__(self, message, basis=None, stats=None, first_divergence=None):
+    def __init__(self, message, basis=None, first_divergence=None):
         super().__init__(message)
         self.basis = basis
-        self.stats = stats
         self.first_divergence = first_divergence
 
 

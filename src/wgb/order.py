@@ -6,10 +6,14 @@ grevlex-smaller than the image of v.  Concretely this compares weighted
 degrees first and breaks ties on the last differing exponent, smaller
 exponent winning.
 
-Key functions are compiled once per order; `key` sorts ascending and
-`inv_key` is its reversal (for max-first heaps).  Both assume exponent
-tuples of the right arity; `compare` validates.
+Each order has one key function, compiled once: a flat tuple of ints
+that ascends with the order.  Weighted grevlex maps e to (wdeg, -e_n, ..,
+-e_1), lex to e itself, and an elimination order to the weighted grevlex
+key of the first block followed by that of the rest.  Keys assume
+exponent tuples of the right arity; `compare` validates.
 """
+
+from operator import mul, neg
 
 from .errors import DimensionError
 from .monomial import WeightSystem, as_weights
@@ -19,43 +23,20 @@ LEX = "lex"
 ELIM = "elim"
 
 
-def _build_keys(kind, ws, block):
+def _wgrevlex_key(ws):
+    def key(e):
+        return (sum(map(mul, ws, e)), *map(neg, reversed(e)))
+
+    return key
+
+
+def _build_key(kind, ws, block):
     if kind == WGREVLEX:
-        def key(e, ws=ws):
-            return (sum(w * a for w, a in zip(ws, e)), tuple(-a for a in reversed(e)))
-
-        def inv_key(e, ws=ws):
-            return (-sum(w * a for w, a in zip(ws, e)), tuple(reversed(e)))
-
-    elif kind == LEX:
-        def key(e):
-            return tuple(e)
-
-        def inv_key(e):
-            return tuple(-a for a in e)
-
-    else:
-        w1, w2 = ws[:block], ws[block:]
-
-        def key(e, w1=w1, w2=w2, k=block):
-            h, t = e[:k], e[k:]
-            return (
-                sum(w * a for w, a in zip(w1, h)),
-                tuple(-a for a in reversed(h)),
-                sum(w * a for w, a in zip(w2, t)),
-                tuple(-a for a in reversed(t)),
-            )
-
-        def inv_key(e, w1=w1, w2=w2, k=block):
-            h, t = e[:k], e[k:]
-            return (
-                -sum(w * a for w, a in zip(w1, h)),
-                tuple(reversed(h)),
-                -sum(w * a for w, a in zip(w2, t)),
-                tuple(reversed(t)),
-            )
-
-    return key, inv_key
+        return _wgrevlex_key(ws)
+    if kind == LEX:
+        return tuple
+    head, tail = _wgrevlex_key(ws[:block]), _wgrevlex_key(ws[block:])
+    return lambda e: head(e[:block]) + tail(e[block:])
 
 
 class MonomialOrder:
@@ -66,7 +47,7 @@ class MonomialOrder:
     grevlex for its slice of the weights).
     """
 
-    __slots__ = ("kind", "weights", "block", "key", "inv_key")
+    __slots__ = ("kind", "weights", "block", "key")
 
     def __init__(self, kind, weights, block=0):
         if kind not in (WGREVLEX, LEX, ELIM):
@@ -77,7 +58,7 @@ class MonomialOrder:
         if kind == ELIM and not (0 < block < n):
             raise ValueError(f"elimination block must be in (0, {n}), got {block}")
         self.block = block if kind == ELIM else 0
-        self.key, self.inv_key = _build_keys(self.kind, self.weights.weights, self.block)
+        self.key = _build_key(self.kind, self.weights.weights, self.block)
 
     @classmethod
     def wgrevlex(cls, weights):

@@ -1,5 +1,7 @@
 """Sparse multivariate polynomials over GF(p) with an attached monomial order."""
 
+from bisect import insort
+
 from .errors import ArityError, DimensionError, FieldMismatchError, NotWHomogeneousError
 from .field import PrimeField
 from .monomial import (
@@ -257,22 +259,20 @@ def reduce_poly(f, basis):
 
     No monomial of the result is divisible by any leading monomial of the
     basis; f minus the result lies in the ideal generated by the basis.
-    Works greatest-monomial-first over a lazy-deletion heap.
+    Works greatest-monomial-first: the pending monomials sit on one list
+    sorted by key, the greatest last, with lazy deletion of cancelled terms.
     """
-    import heapq
-
     ring = f.ring
     divs = [(g.lm, ring.field.inv(g.lc), g.terms) for g in basis if g]
     if not divs or f.is_zero:
         return f
     p = ring.field.p
-    ikey = ring.order.inv_key
+    key = ring.order.key
     tail = dict(f.terms)
-    heap = [(ikey(m), m) for m in tail]
-    heapq.heapify(heap)
+    pending = sorted((key(m), m) for m in tail)
     out = {}
-    while heap:
-        _, m = heapq.heappop(heap)
+    while pending:
+        _, m = pending.pop()
         c = tail.pop(m, None)
         if c is None:
             continue
@@ -295,7 +295,7 @@ def reduce_poly(f, basis):
             old = tail.get(em)
             if old is None:
                 tail[em] = (-factor * k) % p
-                heapq.heappush(heap, (ikey(em), em))
+                insort(pending, (key(em), em))
             else:
                 tail[em] = (old - factor * k) % p
     return ring.from_map(out)

@@ -8,11 +8,13 @@ Format:
     poly X1^2*X2 + 3*X1*X2*X3 - X3^6
     poly ...
 
-Variables must be declared before use; expressions are sums of terms,
-each a '*'-separated product of integer constants and powers NAME^INT,
-with whitespace between tokens only.  A line off this grammar, an
-undeclared variable or a name declared twice raises SystemFormatError
-naming the line.
+`p` is one prime below 2^31 (65521 when the line is left out), `weights`
+one positive integer per variable, and `vars` names matching NAME =
+[A-Za-z_][A-Za-z_0-9]*.  Variables must be declared before use;
+expressions are sums of terms, each a '*'-separated product of integer
+constants and powers NAME^INT, with whitespace between tokens only.  A
+line off this grammar, an undeclared variable or a name declared twice
+raises SystemFormatError naming the line.
 """
 
 import re
@@ -25,7 +27,8 @@ from .poly import PolyRing, PolySystem
 # [sign] term (sign term)*, a term factor ('*' factor)*, a factor INT or
 # NAME ['^' INT]; whitespace stands only before a token or at the end, so
 # that no two whitespace runs can split one run between them
-_FACTOR = r"\s*(?:[0-9]+|[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*[0-9]+)?)"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_FACTOR = rf"\s*(?:[0-9]+|{_NAME}(?:\s*\^\s*[0-9]+)?)"
 _TERM = rf"{_FACTOR}(?:\s*\*{_FACTOR})*"
 _EXPRESSION = re.compile(rf"(?:\s*[-+])?{_TERM}(?:\s*[-+]{_TERM})*\s*")
 
@@ -96,8 +99,16 @@ def write_system(sys):
     return "\n".join(lines) + "\n"
 
 
+def _header_tokens(lineno, head, rest, pattern, want):
+    """The tokens of a header line after its directive, which must match
+    pattern as a whole."""
+    if not re.fullmatch(pattern, rest.strip()):
+        raise SystemFormatError(f"line {lineno}: {head!r} wants {want}, got {rest.strip()!r}")
+    return tuple(rest.split())
+
+
 def parse_system(text):
-    p = None
+    field = None
     names = None
     weights = None
     poly_lines = []
@@ -107,14 +118,22 @@ def parse_system(text):
             continue
         head, _, rest = line.partition(" ")
         if head == "p":
-            p = int(rest)
+            (p,) = _header_tokens(lineno, head, rest, "[0-9]+", "one prime below 2^31")
+            try:
+                field = PrimeField(int(p))
+            except ValueError as exc:
+                raise SystemFormatError(f"line {lineno}: {exc}") from exc
         elif head == "vars":
-            names = tuple(rest.split())
+            names = _header_tokens(
+                lineno, head, rest, rf"{_NAME}(\s+{_NAME})*", f"names matching {_NAME}"
+            )
             repeated = [nm for i, nm in enumerate(names) if nm in names[:i]]
             if repeated:
                 raise SystemFormatError(f"line {lineno}: variable {repeated[0]!r} declared twice")
         elif head == "weights":
-            weights = tuple(int(w) for w in rest.split())
+            weights = _header_tokens(
+                lineno, head, rest, r"0*[1-9][0-9]*(\s+0*[1-9][0-9]*)*", "positive integers"
+            )
         elif head == "poly":
             poly_lines.append((lineno, rest))
         else:
@@ -125,8 +144,7 @@ def parse_system(text):
         raise SystemFormatError(
             f"{len(names)} variables but {len(weights)} weights"
         )
-    field = PrimeField(p if p is not None else DEFAULT_MODULUS)
-    ring = PolyRing(field, WeightSystem(weights), names=names)
+    ring = PolyRing(field or PrimeField(DEFAULT_MODULUS), WeightSystem(weights), names=names)
     polys = []
     for lineno, expr in poly_lines:
         try:

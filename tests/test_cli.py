@@ -252,6 +252,18 @@ def test_gb_lex_and_elimination_orders(tmp_path, capsys):
     assert elim["elimination_basis"] == ["X2^6"]
 
 
+def test_hilbert_zero_dimensional_system(tmp_path, capsys):
+    # a regular sequence of weights (2, 1) and degrees (4, 4): the quotient
+    # series is (1 - T^4)^2 / ((1 - T^2)(1 - T)), of degree 5 and value 8 at 1
+    out = tmp_path / "zd.txt"
+    main(["gen", "--weights", "2,1", "--degrees", "4,4", "--seed", "5", "--out", str(out)])
+    assert main(["hilbert", str(out), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["polynomial"] is True
+    assert data["coeffs"] == [1, 1, 2, 2, 1, 1]
+    assert data["degree"] == 5 and data["ideal_degree"] == 8
+
+
 def test_hilbert_positive_dimensional_system(tmp_path, capsys):
     # two quadrics in three variables: four points, Hilbert function 1, 3, 4, 4, ..
     out = tmp_path / "ud.txt"

@@ -74,6 +74,29 @@ def test_wgrevlex_is_grevlex_pullback():
                 assert (okey(u) < okey(v)) == (gkey(images[u]) < gkey(images[v]))
 
 
+def test_flat_keys_sort_as_the_nested_oracle_keys():
+    # every monomial of weighted degree <= 10, sorted by the order's flat
+    # key and by the nested key it replaced: the same sequence
+    import order_oracle
+
+    for W in [(1, 1, 1), (2, 1, 1), (3, 2, 1), (1, 2, 3), (4, 2, 1, 1), (2, 3, 1, 1)]:
+        monos = [m for d in range(11) for m in monomials_of_wdeg(W, d)]
+        rng = random.Random(str(W))
+        rng.shuffle(monos)
+        cases = [(MonomialOrder.wgrevlex(W), order_oracle.wgrevlex_key(W))]
+        cases.append((MonomialOrder.lex(W), order_oracle.lex_key))
+        cases += [
+            (MonomialOrder.elimination(W, k), order_oracle.elimination_key(W, k))
+            for k in range(1, len(W))
+        ]
+        for order, oracle in cases:
+            assert all(
+                type(order.key(m)) is tuple and all(type(a) is int for a in order.key(m))
+                for m in monos
+            ), order
+            assert sorted(monos, key=order.key) == sorted(monos, key=oracle), order
+
+
 def test_order_is_total_and_multiplicative():
     rng = random.Random(42)
     for kind in ["wgrevlex", "lex", "elim"]:

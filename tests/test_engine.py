@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -29,6 +31,7 @@ from wgb import (
 )
 from wgb.engine import prefix_ideal_dims
 from wgb.errors import (
+    BudgetExceededError,
     EmptySupportError,
     IncompleteBasisError,
     InsufficientWindowError,
@@ -343,6 +346,25 @@ def test_incomplete_basis_names_first_divergence():
     census = staircase_census(want.lt_monomials(), W, 6)
     assert census[:6] == expected.coeffs_upto(5) and census[6] == 5
     assert "degree 6, 5 against 4" in str(exc)
+
+
+def test_matrix_engine_deadline_keeps_the_run_so_far():
+    import wgb.engine as engine
+
+    sys = random_w_homogeneous_system((3, 2, 1), (6, 6, 6), seed=1)
+    full = matrix_gb_whomog(sys).stats
+    with pytest.raises(BudgetExceededError, match="at degree 6") as info:
+        matrix_gb_whomog(sys, deadline=time.monotonic() - 1)
+    assert info.value.stats.as_dict() == engine.GBStats(engine="matrix").as_dict()
+    # a clock that passes the deadline after degrees 6, 7 and 8 have run
+    ticks = iter(range(100))
+    clock = SimpleNamespace(monotonic=lambda: next(ticks))
+    with mock.patch.object(engine, "time", clock):
+        with pytest.raises(BudgetExceededError, match="at degree 9") as info:
+            matrix_gb_whomog(sys, deadline=2.5)
+    stats = info.value.stats
+    assert stats.degrees == [r for r in full.degrees if r.degree < 9]
+    assert stats.observed_dreg == 8 and stats.max_matrix_cols == max(r.cols for r in stats.degrees)
 
 
 @st.composite

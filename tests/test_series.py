@@ -49,6 +49,25 @@ def rcd_chains(n, wmax, last=None):
     return sorted(set(w for w in out if w[0] <= wmax))
 
 
+def test_window_series_refuses_coefficients_past_its_window():
+    s = HilbertSeries([1, 2, 3], window=5)
+    assert s.coeffs_upto(5) == [1, 2, 3, 0, 0, 0]
+    with pytest.raises(InsufficientWindowError, match="coefficient 6 beyond computed window 5"):
+        s.coeff(6)
+    # a polynomial series knows every coefficient
+    assert HilbertSeries([1, 2, 3], polynomial=True).coeff(6) == 0
+
+
+def test_window_series_compare_on_their_common_window():
+    short = HilbertSeries([1, 3, 4], window=2)
+    assert short == HilbertSeries([1, 3, 4, 4, 4], window=4)
+    assert short == HilbertSeries([1, 3, 4, 9], window=3)
+    assert short != HilbertSeries([1, 3, 5, 4], window=3)
+    assert HilbertSeries([1, 3, 4, 0], window=3) == HilbertSeries([1, 3, 4], window=6)
+    # a window series is never equal to a polynomial one
+    assert short != HilbertSeries([1, 3, 4], polynomial=True)
+
+
 def test_geometric_series():
     s = expand_rational((), (1,), 10)
     assert s.coeffs_upto(10) == [1] * 11

@@ -108,3 +108,37 @@ def test_repeated_variable_name_refused():
 def test_system_format_error_is_a_typed_error():
     assert SystemFormatError is ErrorsSystemFormatError
     assert issubclass(SystemFormatError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "header, lineno, message",
+    [
+        ("p abc", 1, "'p' wants one prime below 2^31, got 'abc'"),
+        ("p", 1, "'p' wants one prime below 2^31, got ''"),
+        ("p 7 11", 1, "'p' wants one prime below 2^31, got '7 11'"),
+        ("p 15", 1, "modulus 15 is not prime"),
+        ("p 2147483648", 1, "modulus 2147483648 is not below the supported bound 2^31"),
+        ("vars", 2, "'vars' wants names matching"),
+        ("vars 1X Y", 2, "'vars' wants names matching [A-Za-z_][A-Za-z_0-9]*, got '1X Y'"),
+        ("vars X Y-1", 2, "'vars' wants names matching"),
+        ("weights", 3, "'weights' wants positive integers, got ''"),
+        ("weights 1.5 1", 3, "'weights' wants positive integers, got '1.5 1'"),
+        ("weights 0 1", 3, "'weights' wants positive integers, got '0 1'"),
+        ("weights -1 2", 3, "'weights' wants positive integers, got '-1 2'"),
+    ],
+)
+def test_header_errors_named_with_line(header, lineno, message):
+    lines = ["p 7", "vars X Y", "weights 1 1"]
+    lines[lineno - 1] = header
+    with pytest.raises(SystemFormatError) as info:
+        parse_system("\n".join(lines) + "\npoly X\n")
+    assert str(info.value).startswith(f"line {lineno}: {message}")
+
+
+def test_header_integers_and_names():
+    sys = parse_system("p   13\nvars X y_1 _z2\nweights 2 01 10\npoly X + y_1^2\n")
+    assert sys.ring.field.p == 13
+    assert sys.ring.names == ("X", "y_1", "_z2")
+    assert sys.ring.weights.weights == (2, 1, 10)
+    # no p line: the default modulus
+    assert parse_system("vars X\nweights 1\n").ring.field.p == 65521
