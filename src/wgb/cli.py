@@ -18,7 +18,7 @@ from .bounds import bounds_report
 from .engine import buchberger, elimination_gb, gb_via_homw, matrix_gb_whomog
 from .errors import EmptySupportError, IncompleteBasisError
 from .field import DEFAULT_MODULUS
-from .fglm import fglm_lex, staircase
+from .fglm import fglm_lex
 from .order import MonomialOrder
 from .series import expand_rational, ideal_degree, quotient_hilbert_series, truncate_semiregular
 from .structure import (
@@ -183,7 +183,7 @@ def cmd_fglm(args):
         extra={
             "staircase_size": stats.degree,
             "field_ops": stats.field_ops,
-            "source_staircase": len(staircase(gb)),
+            "source_staircase": stats.degree,
         },
     )
     _emit(args, data)

@@ -82,34 +82,6 @@ class HilbertSeries:
 # rational expansion
 # ---------------------------------------------------------------------------
 
-def _numerator(D):
-    num = [1]
-    for d in D:
-        new = [0] * (len(num) + d)
-        for i, c in enumerate(num):
-            new[i] += c
-            new[i + d] -= c
-        num = new
-    return num
-
-
-def _divide_window(coeffs, W, N):
-    c = coeffs[: N + 1] + [0] * max(0, N + 1 - len(coeffs))
-    for w in W:
-        for i in range(w, N + 1):
-            c[i] += c[i - w]
-    return c
-
-
-def _convolve(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def default_window(weights, degrees):
     """Smallest window on which the shape statements are checkable."""
     W = as_weights(weights)
@@ -126,9 +98,13 @@ def default_window(weights, degrees):
 def expand_rational(degrees, weights, N=None):
     """Exact coefficients of prod(1-T^d_i)/prod(1-T^w_j) up to degree N.
 
-    When the rational function is actually a polynomial (verified by exact
-    reconvolution), the result is flagged polynomial and knows all its
-    coefficients.
+    The monomial census (the coefficients of 1/prod(1-T^w_j)) is multiplied
+    by each 1 - T^d.  With delta = sum(d) - sum(w) >= 0 the product is taken
+    up to sum(d): the series is a polynomial, flagged as such and knowing all
+    its coefficients, exactly when its coefficients delta+1..sum(d) vanish
+    (then its part past delta starts above sum(d), yet times prod(1-T^w) it
+    is the numerator less a polynomial of degree <= sum(d), so it is zero).
+    With delta < 0 it never is.
     """
     W = as_weights(weights)
     D = tuple(degrees)
@@ -138,15 +114,15 @@ def expand_rational(degrees, weights, N=None):
         N = default_window(W, D)
     if N < 0:
         raise ValueError("window must be >= 0")
-    num = _numerator(D)
     delta = sum(D) - W.total
-    if delta >= 0:
-        q = _divide_window(num, W.weights, delta)
-        recon = _convolve(q, _numerator(W.weights))
-        padded = num + [0] * (len(recon) - len(num))
-        if recon == padded:
-            return HilbertSeries(q, window=max(N, delta), polynomial=True)
-    return HilbertSeries(_divide_window(num, W.weights, N), window=N, polynomial=False)
+    top = max(N, sum(D)) if delta >= 0 else N
+    c = list(monomial_census(W.weights, top))
+    for d in D:
+        for e in range(top, d - 1, -1):
+            c[e] -= c[e - d]
+    if delta >= 0 and not any(c[delta + 1 : sum(D) + 1]):
+        return HilbertSeries(c[: delta + 1], window=max(N, delta), polynomial=True)
+    return HilbertSeries(c[: N + 1], window=N, polynomial=False)
 
 
 def series_delta(s):
@@ -339,7 +315,11 @@ def monomial_census(weights, N):
     """Number of monomials of each weighted degree 0..N, as a tuple: the
     Sylvester denumerants of a tuple of weights.  No weights give the
     monomial 1 alone."""
-    return tuple(_divide_window([1], weights, N))
+    c = [1][: N + 1] + [0] * N
+    for w in weights:
+        for i in range(w, N + 1):
+            c[i] += c[i - w]
+    return tuple(c)
 
 
 def _minimalize(gens):
@@ -355,7 +335,7 @@ def staircase_census(lt_monomials, weights, N):
 
     Pivot recursion: split on one variable occurrence,
     census(I) = census(I + <x_j>) + T^(w_j) * census(I : x_j),
-    with free-algebra and pure-power base cases.
+    down to ideals of pure powers, whose census is a rational expansion.
     """
     W = as_weights(weights)
     ws = W.weights
@@ -369,14 +349,10 @@ def staircase_census(lt_monomials, weights, N):
         hit = cache.get(key)
         if hit is not None:
             return hit
-        if any(all(a == 0 for a in g) for g in gens):
-            res = [0] * (N + 1)
-        elif not gens:
-            res = list(monomial_census(ws, N))
-        elif all(sum(1 for a in g if a) == 1 for g in gens):
-            # pure variable powers: numerator product over the free census
-            num = _numerator([wdeg(g, ws) for g in gens])
-            res = _divide_window(num, ws, N)
+        if all(sum(1 for a in g if a) <= 1 for g in gens):
+            # pure powers, no generator or the unit monomial (a factor
+            # 1 - T^0 = 0): a product over the free census
+            res = expand_rational([wdeg(g, ws) for g in gens], ws, N).coeffs_upto(N)
         else:
             counts = [0] * len(ws)
             for g in gens:
@@ -389,7 +365,6 @@ def staircase_census(lt_monomials, weights, N):
             added = _minimalize([pivot] + [g for g in gens if g[j] == 0])
             colon = _minimalize([tuple(max(a - p, 0) for a, p in zip(g, pivot)) for g in gens])
             res = rec(added, N).copy()
-            res += [0] * (N + 1 - len(res))
             shifted = rec(colon, N - ws[j])
             for d, c in enumerate(shifted):
                 res[d + ws[j]] += c

@@ -10,10 +10,12 @@ Format:
 
 `p` is one prime below 2^31 (65521 when the line is left out), `weights`
 one positive integer per variable, and `vars` names matching NAME =
-[A-Za-z_][A-Za-z_0-9]*.  Variables must be declared before use;
-expressions are sums of terms, each a '*'-separated product of integer
-constants and powers NAME^INT, with whitespace between tokens only.  A
-line off this grammar, an undeclared variable or a name declared twice
+[A-Za-z_][A-Za-z_0-9]*.  Each header line appears at most once, and any
+run of spaces or tabs separates a directive from its arguments.
+Variables must be declared before use; expressions are sums of terms,
+each a '*'-separated product of integer constants and powers NAME^INT,
+with whitespace between tokens only.  A line off this grammar, a
+repeated header line, an undeclared variable or a name declared twice
 raises SystemFormatError naming the line.
 """
 
@@ -112,11 +114,19 @@ def parse_system(text):
     names = None
     weights = None
     poly_lines = []
+    header_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head, _, rest = line.partition(" ")
+        head, *rest = line.split(maxsplit=1)
+        rest = "".join(rest)
+        if head in ("p", "vars", "weights"):
+            if head in header_lines:
+                raise SystemFormatError(
+                    f"line {lineno}: second {head!r} line (the first is line {header_lines[head]})"
+                )
+            header_lines[head] = lineno
         if head == "p":
             (p,) = _header_tokens(lineno, head, rest, "[0-9]+", "one prime below 2^31")
             try:

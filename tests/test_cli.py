@@ -126,6 +126,7 @@ def test_fglm_cli(tmp_path, capsys):
     assert main(["fglm", str(out), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["staircase_size"] == 8
+    assert data["source_staircase"] == data["staircase_size"]
     assert data["order"] == "lex"
 
 

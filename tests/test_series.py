@@ -1,12 +1,14 @@
 """Series expansion, truncation, shape analysis and staircase censuses."""
 
 import math
+import operator
 import random
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from series_oracle import expand_rational_reconvolved, numerator
 
 from wgb import (
     HilbertSeries,
@@ -27,7 +29,7 @@ from wgb import (
 )
 from wgb.errors import ArityError, InsufficientWindowError, PositiveDimensionError
 from wgb.monomial import monomials_of_wdeg
-from wgb.series import _numerator, monomial_ideal_is_zero_dim, staircase_census
+from wgb.series import monomial_ideal_is_zero_dim, staircase_census
 from wgb.structure import is_regular_sequence, random_w_homogeneous_system
 
 
@@ -82,6 +84,46 @@ def test_fig_sequences_exact():
     assert s2.coeffs == [1, 0, 2, 1, 3, 2, 2, 3, 1, 2, 0, 1]
     s3 = expand_rational((8, 8, 2), (4, 2, 1))
     assert s3.coeffs == [1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1]
+    # overdetermined, and still a polynomial: (1 + T + T^2)^4 (1 - T^3)
+    s4 = expand_rational((3,) * 5, (1, 1, 1, 1))
+    assert s4.polynomial
+    assert s4.coeffs == [1, 4, 10, 15, 15, 6, -6, -15, -15, -10, -4, -1]
+
+
+@st.composite
+def _rational_inputs(draw):
+    """Weights 1..5 on 1..4 variables, 0..6 degrees (0 included, many of
+    them multiples of a weight so that many series are polynomials) and a
+    window of None, 0, below delta or above sum(D)."""
+    W = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    degree = st.one_of(
+        st.integers(0, 9), st.builds(operator.mul, st.sampled_from(W), st.integers(0, 3))
+    )
+    D = tuple(draw(st.lists(degree, max_size=6)))
+    delta = sum(D) - sum(W)
+    N = draw(
+        st.sampled_from([None, 0])
+        | st.integers(0, max(delta - 1, 0))
+        | st.integers(sum(D) + 1, sum(D) + 8)
+    )
+    return D, W, N
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_rational_inputs())
+@example(((3,) * 5, (1, 1, 1, 1), None))
+@example(((3,) * 5, (1, 1, 1, 1), 2))
+@example(((3,) * 5, (1, 1, 1, 1), 20))
+@example(((0, 4), (2, 1), None))
+@example(((), (2, 3), 0))
+def test_expand_matches_reconvolution(args):
+    # the census times the numerator, polynomial when coefficients
+    # delta+1..sum(D) vanish, against the division checked by multiplying
+    # the quotient back out
+    D, W, N = args
+    got = expand_rational(D, W, N)
+    want = expand_rational_reconvolved(D, W, N)
+    assert (got.coeffs, got.window, got.polynomial) == (want.coeffs, want.window, want.polynomial)
 
 
 def test_expand_exactness_property():
@@ -97,7 +139,7 @@ def test_expand_exactness_property():
         c = s.coeffs_upto(N)
         for w in W:
             c = [c[i] - (c[i - w] if i >= w else 0) for i in range(N + 1)]
-        num = _numerator(D)
+        num = numerator(D)
         num = num[: N + 1] + [0] * max(0, N + 1 - len(num))
         assert c == num
 
@@ -226,13 +268,21 @@ def test_census_recursion_vs_enumeration():
     from census_oracle import staircase_census_enumerate
 
     rng = random.Random(8)
+    cases = []
     for _ in range(120):
         n = rng.randrange(1, 4)
         W = tuple(rng.randrange(1, 4) for _ in range(n))
         k = rng.randrange(0, 6)
         gens = [tuple(rng.randrange(0, 5) for _ in range(n)) for _ in range(k)]
         gens = [g for g in gens if any(g)]
-        N = rng.randrange(0, 11)
+        cases.append((gens, W, rng.randrange(0, 11)))
+    # the unit ideal, alone and beside other generators, and no generator
+    for W in [(1,), (2, 1), (3, 2, 1)]:
+        unit = (0,) * len(W)
+        others = [(2,) + unit[1:], (1,) * len(W)]
+        for N in (0, 7):
+            cases += [([unit], W, N), (others[:1] + [unit] + others[1:], W, N), ([], W, N)]
+    for gens, W, N in cases:
         assert staircase_census(gens, W, N) == staircase_census_enumerate(gens, W, N)
 
 

@@ -135,6 +135,28 @@ def test_header_errors_named_with_line(header, lineno, message):
     assert str(info.value).startswith(f"line {lineno}: {message}")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p 7\nvars X\nvars Y\nweights 1\n", "line 3: second 'vars' line (the first is line 2)"),
+        ("p 7\nvars X\nweights 1\n# note\nweights 2\n", "line 5: second 'weights' line (the first is line 3)"),
+        ("p 7\nvars X\np 7\nweights 1\n", "line 3: second 'p' line (the first is line 1)"),
+    ],
+)
+def test_repeated_header_line_refused(text, message):
+    with pytest.raises(SystemFormatError) as info:
+        parse_system(text)
+    assert str(info.value) == message
+
+
+def test_directive_split_on_any_whitespace():
+    sys = parse_system("p\t7\nvars\tX  Y\nweights \t 2\t1\npoly\tX + Y^2\n")
+    assert sys.ring.field.p == 7
+    assert sys.ring.names == ("X", "Y")
+    assert sys.ring.weights.weights == (2, 1)
+    assert sys.polys[0] == parse_system("p 7\nvars X Y\nweights 2 1\npoly X + Y^2\n").polys[0]
+
+
 def test_header_integers_and_names():
     sys = parse_system("p   13\nvars X y_1 _z2\nweights 2 01 10\npoly X + y_1^2\n")
     assert sys.ring.field.p == 13
