@@ -7,6 +7,7 @@ variable and defines the weighted degree sum(w_i * a_i).
 
 from functools import lru_cache
 from math import prod
+from operator import add, le, sub
 
 from .errors import DimensionError
 
@@ -75,21 +76,21 @@ def wdeg(exps, weights):
 
 
 def mono_mul(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def mono_divides(u, v):
     """True iff u divides v."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def mono_div(v, u):
     """Quotient v / u; u must divide v."""
-    return tuple(b - a for a, b in zip(u, v))
+    return tuple(map(sub, v, u))
 
 
 def mono_lcm(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def divisors(u):

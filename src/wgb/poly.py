@@ -1,18 +1,25 @@
 """Sparse multivariate polynomials over GF(p) with an attached monomial order."""
 
 from bisect import insort
+from operator import add, le, sub
 
 from .errors import ArityError, DimensionError, FieldMismatchError, NotWHomogeneousError
 from .field import PrimeField
 from .monomial import (
     as_weights,
     mono_div,
-    mono_divides,
     mono_lcm,
     mono_mul,
     wdeg,
 )
 from .order import MonomialOrder
+
+
+# the polynomials from_map builds share their exponent tuples through one
+# dict of at most this many tuples, cleared whole when full; its keys are
+# tuples of Python ints, never numpy ints
+MONOMIALS = 1 << 16
+_MONOMIALS = {}
 
 
 class PolyRing:
@@ -79,15 +86,25 @@ class PolyRing:
         return self.from_map({tuple(exps): 1})
 
     def from_map(self, coeff_map):
-        """Build from {exponent tuple: coefficient}, normalizing everything."""
+        """Build from {exponent tuple: coefficient}, normalizing everything.
+
+        Each exponent tuple is replaced by the one shared tuple of Python
+        ints with its exponents (see MONOMIALS)."""
+        n = self.n
+        p = self.field.p
         cleaned = {}
         for e, c in coeff_map.items():
-            e = tuple(e)
-            if len(e) != self.n:
-                raise DimensionError(f"term {e} has wrong arity for {self!r}")
-            c = self.field.normalize(c)
+            if len(e) != n:
+                raise DimensionError(f"term {tuple(e)} has wrong arity for {self!r}")
+            c %= p
             if c:
-                cleaned[e] = c
+                shared = _MONOMIALS.get(e)
+                if shared is None:
+                    if len(_MONOMIALS) >= MONOMIALS:
+                        _MONOMIALS.clear()
+                    shared = tuple(map(int, e))
+                    _MONOMIALS[shared] = shared
+                cleaned[shared] = c
         terms = tuple(
             (e, cleaned[e]) for e in sorted(cleaned, key=self.order.key, reverse=True)
         )
@@ -261,12 +278,15 @@ def reduce_poly(f, basis):
     basis; f minus the result lies in the ideal generated by the basis.
     Works greatest-monomial-first: the pending monomials sit on one list
     sorted by key, the greatest last, with lazy deletion of cancelled terms.
+    A term is reduced by the first basis element, in list order, whose
+    leading monomial divides it.
     """
     ring = f.ring
-    divs = [(g.lm, ring.field.inv(g.lc), g.terms) for g in basis if g]
+    field = ring.field
+    divs = [(g.lm, g.terms[1:], 1 if g.lc == 1 else field.inv(g.lc)) for g in basis if g]
     if not divs or f.is_zero:
         return f
-    p = ring.field.p
+    p = field.p
     key = ring.order.key
     tail = dict(f.terms)
     pending = sorted((key(m), m) for m in tail)
@@ -279,22 +299,19 @@ def reduce_poly(f, basis):
         c %= p
         if c == 0:
             continue
-        hit = None
-        for lm, lcinv, terms in divs:
-            if mono_divides(lm, m):
-                hit = (lcinv, terms)
+        for lm, rest, lcinv in divs:
+            if all(map(le, lm, m)):
                 break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lcinv, terms = hit
-        shift = mono_div(m, terms[0][0])
-        factor = (c * lcinv) % p
-        for e, k in terms[1:]:
-            em = mono_mul(e, shift)
+        shift = tuple(map(sub, m, lm))
+        factor = c * lcinv % p
+        for e, k in rest:
+            em = tuple(map(add, e, shift))
             old = tail.get(em)
             if old is None:
-                tail[em] = (-factor * k) % p
+                tail[em] = -factor * k % p
                 insort(pending, (key(em), em))
             else:
                 tail[em] = (old - factor * k) % p

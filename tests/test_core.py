@@ -179,6 +179,36 @@ def test_poly_normalization_invariants(ring7):
     assert ring7.from_map({}).is_zero
 
 
+def test_from_map_shares_python_int_exponent_tuples(ring7, monkeypatch):
+    import numpy as np
+
+    import wgb.poly as poly
+
+    monkeypatch.setattr(poly, "_MONOMIALS", {})
+    f = ring7.from_map({(np.int64(2), np.int64(1)): 3, (np.int64(0), np.int64(1)): 1})
+    for e, _ in f.terms:
+        assert type(e) is tuple and all(type(a) is int for a in e)
+    assert all(type(a) is int for e in poly._MONOMIALS for a in e)
+    # an equal tuple of Python ints, or of numpy ints, maps to the same object
+    g = ring7.from_map({(2, 1): 5, (np.int64(0), np.int64(1)): 2})
+    assert [e for e, _ in g.terms] == [e for e, _ in f.terms]
+    assert all(a is b for (a, _), (b, _) in zip(f.terms, g.terms))
+
+
+def test_shared_monomials_stay_within_their_bound(ring7, monkeypatch):
+    import wgb.poly as poly
+
+    monkeypatch.setattr(poly, "_MONOMIALS", {})
+    monkeypatch.setattr(poly, "MONOMIALS", 5)
+    x, y = ring7.gens()
+    for k in range(12):
+        f = ring7.from_map({(k, j): j + 1 for j in range(3)})
+        assert len(poly._MONOMIALS) <= 5
+        assert f.coeff_map() == {(k, j): j + 1 for j in range(3)}
+    assert ((x + y) ** 4).coeff_map() == {(4 - j, j): [1, 4, 6, 4, 1][j] for j in range(5)}
+    assert len(poly._MONOMIALS) <= 5
+
+
 def test_reduce_examples(ring7):
     x, y = ring7.gens()
     g = x * x + y

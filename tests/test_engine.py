@@ -39,7 +39,12 @@ from wgb.errors import (
 )
 from wgb.fglm import staircase
 from wgb.monomial import monomials_of_wdeg
-from wgb.structure import is_regular_sequence, is_snp, random_w_homogeneous_system
+from wgb.structure import (
+    is_regular_sequence,
+    is_snp,
+    random_affine_system,
+    random_w_homogeneous_system,
+)
 
 
 def ring(weights, p=65521, names=None):
@@ -616,3 +621,83 @@ def test_monomial_tables_are_shared_and_read_only():
         with pytest.raises(ValueError):
             a[0] = 0
     assert engine._monomial_table.cache_info().maxsize == engine.MONOMIAL_TABLES
+
+
+def _random_poly(rng, R, terms, top):
+    """A nonzero polynomial of 1 to `terms` random terms with exponents up
+    to top, its leading coefficient any nonzero residue."""
+    p = R.field.p
+    coeffs = {
+        tuple(rng.randint(0, top) for _ in range(R.n)): rng.randrange(1, p)
+        for _ in range(rng.randint(1, terms))
+    }
+    return R.from_map(coeffs)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A system under one of the three orders, n <= 3, at every test
+    modulus, with a random polynomial and divisor list for the normal form
+    (a zero divisor among them), all drawn from one seed.  Weighted
+    homogeneous systems have n - 1 to n + 1 equations of degrees up to 6
+    (a product up to 36 over the n lowest); affine ones n or n + 1 of
+    degrees up to 4 (a product up to 16): with fewer equations the
+    first-written loop runs for minutes under lex."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.choice([1, 2, 3, 3])
+    W = tuple(rng.randint(1, 3) for _ in range(n))
+    homogeneous = rng.random() < 0.5
+    m = n + rng.choice([-1, 0, 0, 1] if homogeneous else [0, 0, 1])
+    D = tuple(rng.randint(2, 6 if homogeneous else 4) for _ in range(m))
+    assume(all(monomials_of_wdeg(W, d) for d in D))
+    assume(math.prod(sorted(D)[:n]) <= (36 if homogeneous else 16))
+    p = rng.choice([2, 3, 7, 65521, 2**31 - 1])
+    orders = [MonomialOrder.wgrevlex(W), MonomialOrder.lex(W)]
+    if n > 1:
+        orders.append(MonomialOrder.elimination(W, 1))
+    make = random_w_homogeneous_system if homogeneous else random_affine_system
+    sys = make(W, D, rng.randrange(10**6), field=p).with_order(rng.choice(orders))
+    R = sys.ring
+    f = _random_poly(rng, R, 10, 5)
+    divisors = [_random_poly(rng, R, 4, 3) for _ in range(rng.randint(1, 4))]
+    divisors.insert(rng.randint(0, len(divisors)), R.zero())
+    return sys, homogeneous, f, divisors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_oracle_cases())
+def test_buchberger_layer_matches_first_written_oracle(case):
+    import buchberger_oracle as oracle
+
+    sys, homogeneous, f, divisors = case
+    # the normal form, zero divisors and a zero input included
+    for g in (f, sys.ring.zero()):
+        assert reduce_poly(g, divisors).terms == oracle.reduce_poly(g, divisors).terms
+    assert reduce_poly(f, list(sys.polys)).terms == oracle.reduce_poly(f, list(sys.polys)).terms
+    got, want = buchberger(sys), oracle.buchberger(sys)
+    assert [g.terms for g in got.polys] == [g.terms for g in want.polys]
+    if homogeneous:
+        # the sugar of a pair is the weighted degree of its lcm
+        assert got.stats.as_dict() == want.stats.as_dict()
+
+
+def test_sugar_keeps_direct_lex_small_on_affine_input():
+    # the lowest-weighted-degree selection considered 34,191 pairs here
+    for seed in (1, 2, 3):
+        sys = random_affine_system((1, 1, 1), (3, 3, 3), seed)
+        gb = buchberger(sys.with_order(MonomialOrder.lex((1, 1, 1))))
+        assert gb.stats.pairs_considered < 5000
+        assert spolynomial_audit(gb)
+
+
+def test_buchberger_bases_share_exponent_tuples(monkeypatch):
+    import wgb.poly as poly
+
+    monkeypatch.setattr(poly, "_MONOMIALS", {})
+    sys = random_w_homogeneous_system((2, 1, 1), (4, 4, 4), seed=5)
+    lex_sys = sys.with_order(MonomialOrder.lex((2, 1, 1)))
+    for s in (sys, lex_sys):
+        a, b = buchberger(s), buchberger(s)
+        shared = {e: e for f in a.polys for e, _ in f.terms}
+        assert len(shared) > 10
+        assert all(shared[e] is e for f in b.polys for e, _ in f.terms)
