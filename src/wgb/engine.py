@@ -28,6 +28,7 @@ from .linalg import row_echelon, row_rank_profile, zeros
 from .monomial import mono_divides, monomials_of_wdeg, wdeg
 from .order import WGREVLEX, MonomialOrder
 from .poly import Polynomial, reduce_poly, spoly
+from .series import monomial_census
 # neither is called here; perfbench/tracing.py wraps these bindings
 from .series import semiregular_truncation_degree, staircase_census  # noqa: F401
 from .transform import hom_w_inverse, hom_w_system
@@ -37,7 +38,7 @@ class DegreeRecord(NamedTuple):
     """Counts of one degree's matrix in the signature engine."""
 
     degree: int
-    rows: int  # rows built
+    rows: int  # rows the criterion kept, unit rows read off unbuilt included
     skipped: int  # rows the signature criterion skipped
     cols: int
     new_pivots: int
@@ -205,15 +206,25 @@ MONOMIAL_TABLES = 1024
 def _monomial_table(weights, d):
     """Monomials of weighted degree d, largest first, as tuples, as an
     exponent array and as the index of their last variable (0 for the
-    monomial 1); the arrays are read-only, as the memo shares them."""
+    monomial 1), with the radix of the degree's column codes and the code
+    of each monomial; the arrays are read-only, as the memo shares them."""
     # on one weighted degree, weighted grevlex is the reverse of lex on the
     # reversed exponents
     n = len(weights)
     monos = tuple(sorted(monomials_of_wdeg(weights, d), key=itemgetter(*range(n - 1, -1, -1))))
     arr = np.array(monos, dtype=np.int64).reshape(-1, n)
     last = ((arr > 0) * np.arange(n)).max(axis=1)
-    arr.flags.writeable = last.flags.writeable = False
-    return monos, arr, last
+    # mixed-radix codes, the last exponent the most significant digit,
+    # increase along the columns and locate each product
+    radix, size = [], 1
+    for w in weights:
+        radix.append(size)
+        size *= d // w + 1
+    radix = np.array(radix, dtype=np.int64 if size < 2**63 else object)
+    codes = arr @ radix
+    for a in (arr, last, radix, codes):
+        a.flags.writeable = False
+    return monos, arr, last, radix, codes
 
 
 class _MatrixRun:
@@ -241,6 +252,8 @@ class _MatrixRun:
             (np.array([e for e, _ in f.terms], dtype=np.int64), np.array([c for _, c in f.terms]))
             for f in self.inputs
         ]
+        # the leading inputs of at most one term, whose rows are unit rows
+        self.units = next((i for i, f in enumerate(self.inputs) if len(f.terms) > 1), len(self.inputs))
         self.count_only = count_only
         self.basis = []  # harvested polynomials, none when count_only
         # leading monomials of the harvest, and the input index that produced each
@@ -261,9 +274,17 @@ class _MatrixRun:
         element harvested for an earlier input.  Only the rows of the first
         n_inputs inputs are built when given.  Columns are the degree-d
         monomials, largest first.
+
+        The rows of the leading inputs of one term are never built: each is
+        a unit row, a pivot on its column the first time the column appears
+        and a reduction to zero after that.  Reducing a later row by a unit
+        pivot only clears its entry in that column, so the other rows are
+        built on the columns those pivots leave free.
         """
         lms, tags = self.lms, self.tags
+        m = len(self.inputs)
         blocks = []
+        built = np.zeros(m, dtype=np.int64)  # rows per input
         skipped = 0
         for i, di in enumerate(self.degrees[:n_inputs]):
             if not 0 <= di <= d:
@@ -274,59 +295,92 @@ class _MatrixRun:
             mults = mults[~blocked]
             if len(mults):
                 blocks.append((i, mults))
-        nrows = sum(len(mults) for _, mults in blocks)
+                built[i] = len(mults)
+        nrows = int(built.sum())
         if not nrows:
             return None
-        cols, col_arr, last = self.table(d)
+        cols, col_arr, _, radix, codes = self.table(d)
         ncols = len(cols)
 
-        # mixed-radix codes, the last exponent the most significant digit,
-        # increase along the columns and locate each product
-        radix, size = [], 1
-        for w in self.ws.weights:
-            radix.append(size)
-            size *= d // w + 1
-        radix = np.array(radix, dtype=np.int64 if size < 2**63 else object)
-        codes = col_arr @ radix
-        A = zeros((nrows, ncols), np.int32)  # entries below p < 2^31
-        row_input = np.empty(nrows, dtype=np.int64)
-        r0 = 0
-        for i, mults in blocks:
-            exps, coeffs = self._terms[i]
-            # the code of a product is the sum of the codes
-            products = (mults @ radix)[:, None] + (exps @ radix)[None, :]
-            at = np.searchsorted(codes, products)
-            A[np.arange(r0, r0 + len(mults))[:, None], at] = coeffs
-            row_input[r0 : r0 + len(mults)] = i
-            r0 += len(mults)
-
-        lead, E = (row_rank_profile(A, self.p), None) if self.count_only else row_echelon(A, self.p)
-        independent = lead >= 0
-        producers = row_input[independent]
-        new_pivots = np.bincount(producers, minlength=len(self.inputs))
-        self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
-        # a pivot of input j on a monomial whose last variable is x_v counts
-        # for the prefixes i >= max(j, v)
-        restricted = np.bincount(np.maximum(producers, last[lead[independent]]), minlength=len(self.inputs))
-        self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
-        zeros_in = np.bincount(row_input, minlength=len(self.inputs)) - new_pivots
+        # the unit pivots in row order: by input, then by increasing monomial
+        first = self._first_divisors(d, m if n_inputs is None else n_inputs)
+        taken = first < m
+        unit = np.flatnonzero(taken)[::-1]
+        unit = unit[np.argsort(first[unit], kind="stable")]
+        pivots, producers = [unit], [first[unit]]
+        rest = [(i, mults) for i, mults in blocks if i >= self.units]
+        if rest:
+            free = np.flatnonzero(~taken)
+            where = np.full(ncols, -1, dtype=np.int64)
+            where[free] = np.arange(len(free))
+            A = zeros((int(built[self.units :].sum()), len(free)), np.int32)
+            r0 = 0
+            for i, mults in rest:
+                # the code of a product is the sum of the codes
+                products = (mults @ radix)[:, None] + (self._terms[i][0] @ radix)[None, :]
+                at = where[np.searchsorted(codes, products)]
+                r, t = np.nonzero(at >= 0)
+                A[r0 + r, at[r, t]] = self._terms[i][1][t]  # entries below p < 2^31
+                r0 += len(mults)
+            lead, E = (row_rank_profile(A, self.p), None) if self.count_only else row_echelon(A, self.p)
+            independent = lead >= 0
+            row_input = np.repeat([i for i, _ in rest], [len(mults) for _, mults in rest])
+            pivots.append(free[lead[independent]])
+            producers.append(row_input[independent])
+        pivots = np.concatenate(pivots)
+        producers = np.concatenate(producers)
+        new_pivots = self._count_pivots(d, pivots, producers)
         zero = nrows - len(producers)
-        per_input = tuple(new_pivots.tolist()), tuple(zeros_in.tolist())
+        per_input = tuple(new_pivots.tolist()), tuple((built - new_pivots).tolist())
         record = DegreeRecord(d, nrows, skipped, ncols, len(producers), zero, *per_input)
 
         # a new leading monomial not divisible by an earlier one is harvested;
         # two of one degree never divide each other
-        new_lms = col_arr[lead[independent]]
+        new_lms = col_arr[pivots]
         harvest = np.flatnonzero(~_divisible(new_lms, lms))
         self.lms = np.concatenate([lms, new_lms[harvest]])
         self.tags = np.concatenate([tags, producers[harvest]])
         if not self.count_only:
             for k in harvest.tolist():
-                row = E[k]
-                nz = np.flatnonzero(row)
-                terms = tuple(zip([cols[j] for j in nz.tolist()], row[nz].tolist()))
+                if k < len(unit):  # a unit pivot is the monomial itself
+                    terms = ((cols[pivots[k]], 1),)
+                else:
+                    row = E[k - len(unit)]
+                    nz = np.flatnonzero(row)
+                    terms = tuple(zip([cols[j] for j in free[nz].tolist()], row[nz].tolist()))
                 self.basis.append(Polynomial(self.ring, terms))
         return record
+
+    def _first_divisors(self, d, n_inputs):
+        """For each degree-d column, the first of the leading single-term
+        inputs among the first n_inputs whose monomial divides it, or the
+        number of inputs when none does.  Their rows are unit rows, and a
+        row the criterion skips lies on a column an earlier one's monomial
+        divides, so the first row on a column, its pivot, is that input's."""
+        monos = self.table(d)[1]
+        first = np.full(len(monos), len(self.inputs))
+        for i in reversed(range(min(n_inputs, self.units))):
+            if 0 <= self.degrees[i] <= d:
+                first[(self._terms[i][0] <= monos).all(axis=1)] = i
+        return first
+
+    def _count_pivots(self, d, pivots, producers):
+        """Store the pivots of degree d per prefix, and per prefix those on
+        monomials in its leading variables; returns the pivots per input."""
+        new_pivots = np.bincount(producers, minlength=len(self.inputs))
+        self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
+        # a pivot of input j on a monomial whose last variable is x_v counts
+        # for the prefixes i >= max(j, v)
+        restricted = np.bincount(np.maximum(producers, self.table(d)[2][pivots]), minlength=len(self.inputs))
+        self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
+        return new_pivots
+
+    def count_monomials(self, d, n_inputs):
+        """Count the pivots of degree d, building no row, when each of the
+        first n_inputs inputs has at most one term."""
+        first = self._first_divisors(d, n_inputs)
+        pivots = np.flatnonzero(first < len(self.inputs))
+        self._count_pivots(d, pivots, first[pivots])
 
     def h(self, e):
         """dim (R/I)_e once the run has passed e: monomials less pivots."""
@@ -443,6 +497,18 @@ def prefix_ideal_dims(sys, up_to_degrees):
     in(I + (x_{i+1}..x_n)) = in(I) + (x_{i+1}..x_n), the reverse-lex
     property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop.
     15.12), so the restricted dimension counts those on x_1..x_i alone.
+
+    Each prefix carries certificate (a) of matrix_gb_whomog: once
+    R/(f_1..f_j) is zero in the max w degrees below d > 0, every monomial
+    of degree d is x_v times a leading monomial of (f_1..f_j), so it is one
+    too, in this degree and every later one.  From the first such d on,
+    the counts of every prefix i >= j are read off the column table: dim
+    (f_1..f_i)_d is the number of degree-d monomials, the restricted one
+    the number of them in x_1..x_i, and only the rows of f_1..f_{j-1} are
+    built.  Once those are all inputs of one term, the prefixes they form
+    are monomial ideals, and no row is built at all: a column is a leading
+    monomial of (f_1..f_i) when the monomial of some f_j, j <= i, divides
+    it.
     """
     run = _MatrixRun(sys, count_only=True)
     m = len(run.inputs)
@@ -450,12 +516,28 @@ def prefix_ideal_dims(sys, up_to_degrees):
         raise ValueError(f"need {m} degree bounds, got {len(up_to_degrees)}")
     top = max(up_to_degrees, default=-1)
     out = [[[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees] for _ in range(2)]
+    free = monomial_census(run.ws.weights, top)
+    none = [0] * m
+    full = m + 1  # the smallest prefix whose quotient is zero from degree d on, if any
     for d in range(top + 1):
         k = max(i + 1 for i, u in enumerate(up_to_degrees) if u >= d)
-        if run.run_degree(d, n_inputs=k) is None:
-            continue
-        for rows, counts in zip(out, (run.prefix_pivots[d], run.restricted_pivots[d])):
-            for i, c in enumerate(counts[:k]):
+        if d:  # the monomial 1 is no multiple of a variable
+            window = range(max(d - run.ws.max, 0), d)
+            zero = (j for j in range(1, min(full, k + 1))
+                    if all(run.prefix_pivots.get(e, none)[j - 1] == free[e] for e in window))
+            full = next(zero, full)
+        built = min(k, full - 1)  # the inputs whose rows count
+        if built > run.units:
+            run.run_degree(d, n_inputs=built)
+        else:
+            run.count_monomials(d, built)
+        counts = run.prefix_pivots.get(d, none), run.restricted_pivots.get(d, none)
+        if full <= k:
+            # the monomials of degree d in x_1..x_i, i = 1..max(m, n)
+            in_vars = np.cumsum(np.bincount(run.table(d)[2], minlength=m)).tolist()
+            counts = counts[0][: full - 1] + [free[d]] * m, counts[1][: full - 1] + in_vars[full - 1 :]
+        for rows, row_counts in zip(out, counts):
+            for i, c in enumerate(row_counts[:k]):
                 if d <= up_to_degrees[i]:
                     rows[i + 1][d] = c
     return out

@@ -8,9 +8,10 @@ above that the operands are split into 16-bit halves (Dumas-Giorgi-Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
 packages", TOMS 2008).
 The elimination follows the recursive row rank profile scheme of
-Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case,
-after the leading rows with one nonzero entry are taken as pivots by
-inspection.
+Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case.
+The kernel looks for no structure in its input: the unit rows of a
+signature matrix (the multiples of single-term inputs) never reach it, as
+the matrix engine reads their pivots off its column table.
 """
 
 import mmap
@@ -126,44 +127,13 @@ def row_rank_profile(A, p):
 
 
 def _eliminate(A, p, reduced):
-    """(lead, E) as row_echelon gives them; unless reduced, only lead.
-
-    The leading run of rows with one nonzero entry each (in a signature
-    matrix, the multiples of pure powers that come first) is read off
-    without elimination: the first of them on a column is a pivot there,
-    a repeat reduces to zero.  Reducing the other rows by these pivots
-    clears their columns, so the rest is eliminated on the remaining
-    columns alone.  An entry outside [0, p) is refused: the row loop would
-    keep a row whose pivot entry is 0 mod p, and argmax would misread a
-    negative one."""
+    """(lead, E) as row_echelon gives them; unless reduced, only lead.  An
+    entry outside [0, p) is refused: the row loop would keep a row whose
+    pivot entry is 0 mod p."""
     unsigned = np.uint32 if A.itemsize == 4 else np.uint64  # negatives wrap above p
     if A.size and A.view(unsigned).max() >= p:
         raise ValueError(f"matrix entries must lie in [0, {p})")
-    m, n = A.shape
-    k = 0
-    if m and np.count_nonzero(A[0]) == 1:
-        single = np.count_nonzero(A, axis=1) == 1
-        k = m if single.all() else int(single.argmin())
-    if not k:
-        return _echelon(A, p, reduced)
-    cols = A[:k].argmax(axis=1)  # entries lie in [0, p): the nonzero is the largest
-    taken, rows = np.unique(cols, return_index=True)
-    lead = np.full(m, -1, dtype=np.int64)
-    lead[rows] = taken
-    free = np.ones(n, dtype=bool)
-    free[taken] = False
-    free = np.flatnonzero(free)
-    lead_rest, E_rest = _echelon(A[k:, free], p, reduced)
-    hit = lead_rest >= 0
-    lead[k:][hit] = free[lead_rest[hit]]
-    if not reduced:
-        return lead, None
-    # E: the unit rows e_j in row order, then the rest's rows on their columns
-    r_u, r_b = len(taken), len(E_rest)
-    A[: r_u + r_b] = 0
-    A[np.arange(r_u), cols[np.sort(rows)]] = 1
-    A[r_u : r_u + r_b, free] = E_rest
-    return lead, A[: r_u + r_b]
+    return _echelon(A, p, reduced)
 
 
 def _echelon(A, p, reduced):

@@ -101,7 +101,12 @@ def divisors(u):
     return out
 
 
-@lru_cache(maxsize=None)
+# the monomials of at most this many (weights, degree) pairs are kept, the
+# recursion's own lists for the trailing weights included
+MONOMIAL_LISTS = 1024
+
+
+@lru_cache(maxsize=MONOMIAL_LISTS)
 def monomials_of_wdeg(weights, d):
     """All exponent tuples of weighted degree exactly d, as a tuple.
 

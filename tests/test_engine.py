@@ -613,14 +613,28 @@ def test_monomial_tables_are_shared_and_read_only():
     import wgb.engine as engine
 
     W = (3, 2, 1)
-    monos, arr, last = engine._monomial_table(W, 7)
+    monos, arr, last, radix, codes = engine._monomial_table(W, 7)
     assert engine._monomial_table(W, 7)[1] is arr
     assert sorted(monos) == sorted(monomials_of_wdeg(W, 7)) and isinstance(monos, tuple)
     assert arr.tolist() == [list(m) for m in monos]
-    for a in (arr, last):
+    # the column codes ascend along the columns, which searchsorted needs
+    assert codes.tolist() == (arr @ radix).tolist() and (codes[1:] > codes[:-1]).all()
+    for a in (arr, last, radix, codes):
         with pytest.raises(ValueError):
             a[0] = 0
     assert engine._monomial_table.cache_info().maxsize == engine.MONOMIAL_TABLES
+
+
+def test_monomial_lists_are_bounded():
+    import wgb.monomial as monomial
+
+    from wgb.series import monomial_census
+
+    assert monomial.monomials_of_wdeg.cache_info().maxsize == monomial.MONOMIAL_LISTS
+    # a cleared memo rebuilds every list, the recursion's own included
+    monomial.monomials_of_wdeg.cache_clear()
+    W = (1, 5, 5, 20)
+    assert [len(monomials_of_wdeg(W, d)) for d in range(61)] == list(monomial_census(W, 60))
 
 
 def _random_poly(rng, R, terms, top):
@@ -701,3 +715,48 @@ def test_buchberger_bases_share_exponent_tuples(monkeypatch):
         shared = {e: e for f in a.polys for e, _ in f.terms}
         assert len(shared) > 10
         assert all(shared[e] is e for f in b.polys for e, _ in f.terms)
+
+
+@st.composite
+def _prefix_dims_cases(draw):
+    """A W-homogeneous system with m < n, m = n or m > n inputs (n <= 3),
+    some of them monomials (leading, in the middle or none) and some zero,
+    at every test modulus, with degree bounds that often run past the
+    degree where a prefix's quotient vanishes; all drawn from one seed."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.choice([1, 2, 3])
+    W = tuple(rng.randint(1, 3) for _ in range(n))
+    m = max(1, n + rng.choice([-1, 0, 1, 2]))
+    D = tuple(rng.randint(1, 4) for _ in range(m))
+    assume(all(monomials_of_wdeg(W, d) for d in D))
+    p = rng.choice([2, 3, 7, 65521, 2**31 - 1])
+    sys = random_w_homogeneous_system(W, D, rng.randrange(10**6), field=p)
+    R = sys.ring
+    polys = list(sys.polys)
+    monomial = {
+        "leading": lambda i: i < rng.randint(1, m),
+        "middle": lambda i: 0 < i < m - 1 and rng.random() < 0.5,
+        "none": lambda i: False,
+    }[rng.choice(["leading", "leading", "middle", "none"])]
+    for i in range(m):
+        if monomial(i):
+            polys[i] = R.from_map({rng.choice(monomials_of_wdeg(W, D[i])): rng.randrange(1, p)})
+    if rng.random() < 0.3:
+        polys[rng.randrange(m)] = R.zero()
+    top = sum(D) + max(W) + 2
+    bounds = [rng.randint(max(D), top) if rng.random() < 0.7 else rng.randint(0, top) for _ in range(m)]
+    return PolySystem(R, polys, D), bounds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_prefix_dims_cases())
+def test_prefix_ideal_dims_match_the_definition(case):
+    from prefix_dims_oracle import prefix_dims_by_rank
+
+    sys, bounds = case
+    assert prefix_ideal_dims(sys, bounds) == prefix_dims_by_rank(sys, bounds)
+    # a run whose leading inputs are monomials builds none of their rows
+    # and harvests each such pivot as the monomial itself
+    if len(sys.polys[0].terms) == 1 and math.prod(sorted(sys.degrees)[: sys.n]) <= 36:
+        gb = matrix_gb_whomog(sys)
+        assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]

@@ -145,7 +145,7 @@ def test_row_echelon_takes_both_paths(monkeypatch):
     row_echelon(dense, 65521)
     assert len(calls) > 1 and max(calls) <= BASE_ROWS
     calls.clear()
-    # two entries a row: leading rows with one entry would skip the loop
+    # two entries a row
     sparse = np.zeros((m, 100), dtype=np.int64)
     sparse[np.arange(m), rng.integers(0, 50, size=m)] = 1
     sparse[np.arange(m), rng.integers(50, 100, size=m)] = 1
@@ -179,8 +179,9 @@ def test_kernel_accepts_a_matrix_without_rows_or_columns(shape):
 
 def _signature_shaped(rng, p, n):
     """Matrices whose leading rows hold one nonzero entry each, as the
-    multiples of pure powers do in a signature run, in every arrangement
-    that the kernel's handling of those rows must get right."""
+    multiples of pure powers do in a signature run, in every arrangement:
+    the matrix engine reads such rows off itself, and the kernel, which
+    looks for none, must still get them right."""
     def units(k, cols):
         U = np.zeros((k, n), dtype=np.int64)
         U[np.arange(k), cols] = rng.integers(1, p, size=k)
@@ -213,50 +214,80 @@ def test_leading_unit_rows_match_oracle(p):
             _assert_kernel_matches_oracle(A.astype(np.int32), p)
 
 
+def _signature_matrix(run, d, n_inputs):
+    """The whole degree-d signature matrix of a run, in its state before
+    the degree, every row built in Python: rows u*f_i in input order,
+    multipliers increasing, the u divisible by a leading monomial harvested
+    for an earlier input skipped.  Returns it with each row's input."""
+    from wgb.monomial import mono_divides, mono_mul, monomials_of_wdeg
+
+    cols = {c: j for j, c in enumerate(run.table(d)[0])}
+    harvest = list(zip(map(tuple, run.lms.tolist()), run.tags.tolist()))
+    rows, owner = [], []
+    for i, f in enumerate(run.inputs[:n_inputs]):
+        if not f or f.wdeg() > d:
+            continue
+        earlier = [lm for lm, t in harvest if t < i]
+        for u in sorted(monomials_of_wdeg(run.ws.weights, d - f.wdeg()), key=run.ring.order.key):
+            if not any(mono_divides(lm, u) for lm in earlier):
+                row = [0] * len(cols)
+                for e, c in f.terms:
+                    row[cols[mono_mul(u, e)]] = c
+                rows.append(row)
+                owner.append(i)
+    return np.array(rows, dtype=np.int64).reshape(-1, len(cols)), np.array(owner)
+
+
 def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
-    # on the signature matrices of a mixed-power sequence, the row loop
-    # gets the rows after the leading unit rows alone, on the columns no
-    # unit row took
+    # on the signature matrices of a mixed-power sequence the kernel gets no
+    # row of the leading pure powers: only the other rows, on the columns
+    # the powers' multiples leave free.  Mapped back to the whole matrix,
+    # its leads and the unit rows' read-off ones are the oracle's
     import wgb.engine as engine
-    import wgb.linalg as linalg
     from wgb.engine import prefix_ideal_dims
     from wgb.structure import froberg_sequence
 
-    monkeypatch.setattr(linalg, "BASE_ROWS", 10**9)  # each matrix to the loop whole
-    reached = []
-    inner_rows = linalg._echelon_rows
+    sys = froberg_sequence((2, 1, 1), (4, 3, 3), 4)
+    units = 3  # the pure powers lead
+    state = {}
+    real_degree = engine._MatrixRun.run_degree
 
-    def counted(A, p, reduced):
-        reached.append(A.copy())
-        return inner_rows(A, p, reduced)
+    def run_degree(run, d, n_inputs=None):
+        state["full"], state["owner"] = _signature_matrix(run, d, n_inputs)
+        state["kernel"] = None
+        record = real_degree(run, d, n_inputs)
+        full, owner = state["full"], state["owner"]
+        if len(full):
+            # the pivots per input, read-off unit rows included, are the oracle's
+            lead = np.array(eliminate_rows(full, run.p)[0])
+            assert list(record.input_pivots) == np.bincount(owner[lead >= 0], minlength=len(run.inputs)).tolist()
+            seen.append((len(full), int((owner < units).sum()), state["kernel"]))
+        return record
 
-    monkeypatch.setattr(linalg, "_echelon_rows", counted)
-    seen = []  # (rows, leading unit rows) of each matrix
-    inner = engine.row_rank_profile
-
-    def checked(A, p):
-        single = np.count_nonzero(A, axis=1) == 1
-        k = len(A) if single.all() else int(single.argmin())
-        free = np.setdiff1d(np.arange(A.shape[1]), A[:k].argmax(axis=1))
-        want = A[k:, free]
-        oracle = eliminate_rows(A, p)[0]
-        reached.clear()
-        lead = inner(A, p)
-        assert lead.tolist() == oracle
-        assert len(reached) == 1 and reached[0].tolist() == want.tolist()
-        seen.append((len(A), k))
+    def kernel(A, p):
+        full, owner = state["full"], state["owner"]
+        unit = owner < units
+        free = np.flatnonzero(~full[unit].any(axis=0))
+        assert A.tolist() == full[~unit][:, free].tolist()
+        lead = row_rank_profile(A.copy(), p)
+        oracle = np.array(eliminate_rows(full, p)[0])
+        assert np.where(lead >= 0, free[lead], -1).tolist() == oracle[~unit].tolist()
+        state["kernel"] = len(A)
         return lead
 
-    monkeypatch.setattr(engine, "row_rank_profile", checked)
-    prefix_ideal_dims(froberg_sequence((2, 1, 1), (4, 3, 3), 4), [10] * 4)
-    rows, units = (sum(c) for c in zip(*seen))
-    assert units > rows // 2 and any(0 < k < m for m, k in seen)
+    seen = []  # (rows, unit rows, rows the kernel got) of each degree
+    monkeypatch.setattr(engine._MatrixRun, "run_degree", run_degree)
+    monkeypatch.setattr(engine, "row_rank_profile", kernel)
+    prefix_ideal_dims(sys, [10] * 4)
+    assert all(k is None or k == m - u for m, u, k in seen)
+    rows, unit_rows = (sum(c) for c in list(zip(*seen))[:2])
+    assert unit_rows > rows // 2 and any(0 < u < m and k for m, u, k in seen)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("bad", ["at least p", "multiple of p", "negative"])
 def test_entries_outside_the_field_refused(dtype, bad):
-    # each used to hang the row loop or be misread by the unit-row front end
+    # each used to hang the row loop or be misread
     p = 5
     entry = {"at least p": p + 2, "multiple of p": 2 * p, "negative": -3}[bad]
     for A in ([[0, entry, 1], [0, 1, 0], [1, 0, 0]],  # the row loop
