@@ -377,7 +377,10 @@ class _MatrixRun:
 
     def count_monomials(self, d, n_inputs):
         """Count the pivots of degree d, building no row, when each of the
-        first n_inputs inputs has at most one term."""
+        first n_inputs inputs has at most one term.  run_degree counts the
+        same, but it also tests every multiplier against the criterion and
+        harvests, for a record and later skips that a run left with only
+        such inputs has no use for."""
         first = self._first_divisors(d, n_inputs)
         pivots = np.flatnonzero(first < len(self.inputs))
         self._count_pivots(d, pivots, first[pivots])
