@@ -28,7 +28,7 @@ from .linalg import row_echelon, row_rank_profile, zeros
 from .monomial import mono_divides, monomials_of_wdeg, wdeg
 from .order import WGREVLEX, MonomialOrder
 from .poly import Polynomial, reduce_poly, spoly
-from .series import monomial_census
+from .series import expand_rational, monomial_census
 # neither is called here; perfbench/tracing.py wraps these bindings
 from .series import semiregular_truncation_degree, staircase_census  # noqa: F401
 from .transform import hom_w_inverse, hom_w_system
@@ -499,47 +499,85 @@ def prefix_ideal_dims(sys, up_to_degrees):
     keeps them exact.  Under weighted grevlex a W-homogeneous I has
     in(I + (x_{i+1}..x_n)) = in(I) + (x_{i+1}..x_n), the reverse-lex
     property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop.
-    15.12), so the restricted dimension counts those on x_1..x_i alone.
+    15.12), so the restricted dimension counts those on x_1..x_i alone: it
+    is dim (J_i)_e, J_i = (f_j(x_1..x_i, 0..0))_{j <= i} in k[x_1..x_i].
 
     Each prefix carries certificate (a) of matrix_gb_whomog: once
     R/(f_1..f_j) is zero in the max w degrees below d > 0, every monomial
     of degree d is x_v times a leading monomial of (f_1..f_j), so it is one
     too, in this degree and every later one.  From the first such d on,
-    the counts of every prefix i >= j are read off the column table: dim
+    the counts of every prefix i >= j are read off the census: dim
     (f_1..f_i)_d is the number of degree-d monomials, the restricted one
     the number of them in x_1..x_i, and only the rows of f_1..f_{j-1} are
     built.  Once those are all inputs of one term, the prefixes they form
     are monomial ideals, and no row is built at all: a column is a leading
     monomial of (f_1..f_i) when the monomial of some f_j, j <= i, divides
     it.
+
+    Two more certificates stop the rows of shorter prefixes:
+
+    * (r) when that smallest j is n and d_1..d_n > 0, f_1..f_n is a
+      homogeneous system of parameters of R, so a regular sequence, as R is
+      graded Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings, Thm
+      2.1.2).  Each prefix f_1..f_i is regular too, and R/(f_1..f_i) has
+      the series prod_{j <= i} (1 - T^d_j) / prod (1 - T^w_v) (Stanley,
+      Hilbert functions of graded algebras, 1978): dim (f_1..f_i)_e is
+      read off it in every degree, and only the restricted counts still
+      need rows;
+    * (s) once k[x_1..x_i]/J_i is zero in the max(w_1..w_i) degrees below
+      d, it is zero from d on by the argument of (a) in k[x_1..x_i], and
+      the restricted count of prefix i is the number of degree-d monomials
+      in x_1..x_i.
+
+    After (r) only the rows of f_1..f_j are built, j the longest prefix
+    below n still asked for and without (s); none once there is no such j.
     """
     run = _MatrixRun(sys, count_only=True)
-    m = len(run.inputs)
+    m, n = len(run.inputs), run.ring.n
     if len(up_to_degrees) != m:
         raise ValueError(f"need {m} degree bounds, got {len(up_to_degrees)}")
+    W = run.ws.weights
     top = max(up_to_degrees, default=-1)
     out = [[[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees] for _ in range(2)]
-    free = monomial_census(run.ws.weights, top)
+    free = monomial_census(W, top)
+    # the monomials in x_1..x_i per degree, i = 1..m
+    in_vars = [monomial_census(W[:i], top) for i in range(1, m + 1)]
     none = [0] * m
     full = m + 1  # the smallest prefix whose quotient is zero from degree d on, if any
+    product = None  # under (r): dim (f_1..f_i)_e, i = 1..n-1, by degree
+    settled = [False] * n  # (s) per prefix i < n
     for d in range(top + 1):
         k = max(i + 1 for i, u in enumerate(up_to_degrees) if u >= d)
-        if d:  # the monomial 1 is no multiple of a variable
+        if d and product is None:  # the monomial 1 is no multiple of a variable
             window = range(max(d - run.ws.max, 0), d)
             zero = (j for j in range(1, min(full, k + 1))
                     if all(run.prefix_pivots.get(e, none)[j - 1] == free[e] for e in window))
             full = next(zero, full)
-        built = min(k, full - 1)  # the inputs whose rows count
+            # (r); full is m + 1 while no prefix has vanished, and a zero
+            # input's degree is -1
+            if full == n <= m and min(run.degrees[:n]) > 0:
+                product = [
+                    [a - b for a, b in zip(free, expand_rational(run.degrees[:i], W, top).coeffs_upto(top))]
+                    for i in range(1, n)
+                ]
+        if product is None:
+            built = min(k, full - 1)  # the inputs whose rows count
+        else:
+            asked = [i for i in range(1, min(k + 1, n)) if d <= up_to_degrees[i - 1]]
+            for i in asked:
+                window = range(max(d - max(W[:i]), 0), d)
+                settled[i] = settled[i] or all(out[1][i][e] == in_vars[i - 1][e] for e in window)
+            built = max((i for i in asked if not settled[i]), default=0)
         if built > run.units:
             run.run_degree(d, n_inputs=built)
-        else:
+        elif built:
             run.count_monomials(d, built)
-        counts = run.prefix_pivots.get(d, none), run.restricted_pivots.get(d, none)
-        if full <= k:
-            # the monomials of degree d in x_1..x_i, i = 1..max(m, n)
-            in_vars = np.cumsum(np.bincount(run.table(d)[2], minlength=m)).tolist()
-            counts = counts[0][: full - 1] + [free[d]] * m, counts[1][: full - 1] + in_vars[full - 1 :]
-        for rows, row_counts in zip(out, counts):
+        if product is None:
+            dims = run.prefix_pivots.get(d, none)[:built] + [free[d]] * m
+        else:
+            dims = [dims_i[d] for dims_i in product] + [free[d]] * m
+        restricted = run.restricted_pivots.get(d, none)[:built] + [c[d] for c in in_vars[built:]]
+        for rows, row_counts in zip(out, (dims, restricted)):
             for i, c in enumerate(row_counts[:k]):
                 if d <= up_to_degrees[i]:
                     rows[i + 1][d] = c

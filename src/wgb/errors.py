@@ -41,6 +41,12 @@ class EmptySupportError(ValueError):
     """No monomials exist at a requested weighted degree."""
 
 
+class NonPositiveDegreeError(ValueError):
+    """An input of declared weighted degree <= 0 where a structural verdict
+    needs positive degrees: a factor 1 - T^0 = 0 makes the product form
+    identically zero, which the unit ideal's zero quotient matches."""
+
+
 class IncompleteBasisError(RuntimeError):
     """The matrix engine certified its basis before the census of the
     harvest met the expected Hilbert series.

@@ -15,7 +15,12 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ArityError, EmptySupportError, InsufficientWindowError
+from .errors import (
+    ArityError,
+    EmptySupportError,
+    InsufficientWindowError,
+    NonPositiveDegreeError,
+)
 from .field import DEFAULT_MODULUS
 from .monomial import (
     as_weights,
@@ -91,6 +96,18 @@ def _wgrevlex_system(sys):
     return sys.with_order(order)
 
 
+def _verdict_system(sys):
+    """The system under weighted grevlex, refused when an input's declared
+    degree is not positive."""
+    for i, d in enumerate(sys.degrees):
+        if d <= 0:
+            raise NonPositiveDegreeError(
+                f"polynomial #{i + 1} has declared degree {d}; structural verdicts "
+                f"need positive degrees"
+            )
+    return _wgrevlex_system(sys)
+
+
 def _hilbert_functions(sys, bounds):
     """([h_0, .., h_m], r) off one signature run: h_i(e) = dim
     (R/(f_1..f_i))_e up to bounds[i-1], h_0 up to the largest bound, and r
@@ -137,7 +154,7 @@ def _noether_verdict(sys, i, restricted):
 
 
 def _require_at_most_n(sys, what):
-    sys = _wgrevlex_system(sys)
+    sys = _verdict_system(sys)
     sys.require_w_homogeneous()
     if sys.m > sys.n:
         raise ArityError(f"{what} is for m <= n systems")
@@ -223,7 +240,7 @@ def is_semiregular(sys, d_max=None):
     one signature run (`prefix_ideal_dims`): the rank of multiplication by
     f_i from degree d is h_{i-1}(d + d_i) - h_i(d + d_i).
     """
-    return _semiregular(_wgrevlex_system(sys), d_max, [0] * sys.m)[0]
+    return _semiregular(_verdict_system(sys), d_max, [0] * sys.m)[0]
 
 
 def _semiregular(sys, d_max, windows):
@@ -438,7 +455,7 @@ def _summary(verdict, flag, *fields):
 
 def structure_report(sys, d_max=None):
     """Every verdict of `StructureReport`, all read off one signature run."""
-    sys = _wgrevlex_system(sys)
+    sys = _verdict_system(sys)
     W = sys.ring.weights
     D = sys.degrees
     m, n = sys.m, sys.n

@@ -152,6 +152,17 @@ def test_structure_cli(tmp_path, capsys):
     assert "d_max must be >= 0" in capsys.readouterr().err
 
 
+def test_structure_cli_refuses_a_constant_input(tmp_path, capsys):
+    # the factor 1 - T^0 = 0 makes the product form 0, which the unit
+    # ideal's zero quotient would match: no verdict is printed
+    out = tmp_path / "c.txt"
+    out.write_text("p 7\nvars X Y\nweights 1 2\npoly X\npoly 1\n")
+    assert main(["structure", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "polynomial #2 has declared degree 0" in captured.err
+
+
 def test_bench_exit_codes(capsys):
     assert main(["bench", "figures", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

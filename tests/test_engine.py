@@ -39,6 +39,7 @@ from wgb.errors import (
 )
 from wgb.fglm import staircase
 from wgb.monomial import monomials_of_wdeg
+from wgb.series import monomial_census
 from wgb.structure import (
     is_regular_sequence,
     is_snp,
@@ -722,41 +723,124 @@ def _prefix_dims_cases(draw):
     """A W-homogeneous system with m < n, m = n or m > n inputs (n <= 3),
     some of them monomials (leading, in the middle or none) and some zero,
     at every test modulus, with degree bounds that often run past the
-    degree where a prefix's quotient vanishes; all drawn from one seed."""
+    degree where a prefix's quotient vanishes; all drawn from one seed.
+
+    Some have f_1 divisible by x_n, so that f_1(x_1..x_{n-1}, 0) = 0 and
+    the restricted quotient of prefix 1 never vanishes; some a constant
+    f_n after two inputs sharing x_1, so that the unit ideal appears at
+    prefix n with a non-regular prefix below it."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.choice([1, 2, 3])
     W = tuple(rng.randint(1, 3) for _ in range(n))
-    m = max(1, n + rng.choice([-1, 0, 1, 2]))
-    D = tuple(rng.randint(1, 4) for _ in range(m))
+    m = max(1, n + rng.choice([-1, 0, 0, 0, 1, 1, 2]))
+    D = [rng.randint(1, 4) for _ in range(m)]
+    constant = n <= m and rng.random() < 0.1
+    if constant:
+        D[n - 1] = 0
     assume(all(monomials_of_wdeg(W, d) for d in D))
     p = rng.choice([2, 3, 7, 65521, 2**31 - 1])
     sys = random_w_homogeneous_system(W, D, rng.randrange(10**6), field=p)
     R = sys.ring
     polys = list(sys.polys)
+
+    def times(v, i):
+        """x_v times a dense form of degree D[i] - w_v, or f_i if none."""
+        if not monomials_of_wdeg(W, D[i] - W[v]):
+            return polys[i]
+        q = random_w_homogeneous_system(W, (D[i] - W[v],), rng.randrange(10**6), field=p).polys[0]
+        return R.gen(v) * q
+
+    if n > 1 and rng.random() < 0.3:
+        polys[0] = times(n - 1, 0)
+    if constant and n > 2:
+        polys[0], polys[1] = times(0, 0), times(0, 1)
     monomial = {
         "leading": lambda i: i < rng.randint(1, m),
         "middle": lambda i: 0 < i < m - 1 and rng.random() < 0.5,
         "none": lambda i: False,
-    }[rng.choice(["leading", "leading", "middle", "none"])]
+    }[rng.choice(["leading", "middle", "none", "none"])]
     for i in range(m):
         if monomial(i):
             polys[i] = R.from_map({rng.choice(monomials_of_wdeg(W, D[i])): rng.randrange(1, p)})
-    if rng.random() < 0.3:
+    if rng.random() < 0.15:
         polys[rng.randrange(m)] = R.zero()
     top = sum(D) + max(W) + 2
     bounds = [rng.randint(max(D), top) if rng.random() < 0.7 else rng.randint(0, top) for _ in range(m)]
+    if n <= m and rng.random() < 0.7:
+        bounds[rng.randrange(n - 1, m)] = top  # past R/(f_1..f_n)'s certificate, if any
     return PolySystem(R, polys, D), bounds
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_prefix_dims_cases())
-def test_prefix_ideal_dims_match_the_definition(case):
+def _prefix_dims_unsettled(sys, bounds, dims, restricted, d):
+    """The prefixes whose rows degree d of `prefix_ideal_dims` still needs
+    once certificate (r) holds, from the exact counts up to degree d - 1:
+    those below n asked for at d whose restricted quotient k[x_1..x_i]/J_i
+    is not zero in the max(w_1..w_i) degrees below d."""
+    W = sys.ring.weights.weights
+    need = set()
+    for i in range(1, sys.n):
+        if i <= sys.m and d <= bounds[i - 1]:
+            in_vars = monomial_census(W[:i], d)
+            if any(restricted[i][e] != in_vars[e] for e in range(max(d - max(W[:i]), 0), d)):
+                need.add(i)
+    return need
+
+
+def test_prefix_ideal_dims_match_the_definition(monkeypatch):
+    # the counts equal the rank of every prefix's full Macaulay matrix per
+    # degree; once certificate (r) holds, no degree builds the rows of a
+    # prefix whose dimensions and restricted counts are both known
     from prefix_dims_oracle import prefix_dims_by_rank
 
-    sys, bounds = case
-    assert prefix_ideal_dims(sys, bounds) == prefix_dims_by_rank(sys, bounds)
-    # a run whose leading inputs are monomials builds none of their rows
-    # and harvests each such pivot as the monomial itself
-    if len(sys.polys[0].terms) == 1 and math.prod(sorted(sys.degrees)[: sys.n]) <= 36:
-        gb = matrix_gb_whomog(sys)
-        assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]
+    import wgb.engine as engine
+
+    calls, products = [], []
+    for name in ("run_degree", "count_monomials"):
+        real = getattr(engine._MatrixRun, name)
+
+        def recorded(run, d, n_inputs=None, _real=real):
+            calls.append((d, n_inputs))
+            return _real(run, d, n_inputs)
+
+        monkeypatch.setattr(engine._MatrixRun, name, recorded)
+    product_form = engine.expand_rational
+    monkeypatch.setattr(engine, "expand_rational", lambda *a: products.append(a) or product_form(*a))
+    reached = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_prefix_dims_cases())
+    def check(case):
+        sys, bounds = case
+        calls.clear()
+        products.clear()
+        got = prefix_ideal_dims(sys, bounds)
+        # one oracle run to the largest bound gives every prefix's counts
+        top, m, n = max(bounds), sys.m, sys.n
+        dims, restricted = prefix_dims_by_rank(sys, [top] * m)
+        want = [[dims[0]] + [row[: u + 1] for row, u in zip(dims[1:], bounds)],
+                [restricted[0]] + [row[: u + 1] for row, u in zip(restricted[1:], bounds)]]
+        assert got == want
+        # (r): the first degree where R/(f_1..f_n) is zero in the max w
+        # degrees below, f_1..f_n all of positive degree
+        free = monomial_census(sys.ring.weights.weights, top)
+        regular = next(
+            (d for d in range(1, top + 1)
+             if n <= m and all(f and f.wdeg() > 0 for f in sys.polys[:n])
+             and max(i + 1 for i, u in enumerate(bounds) if u >= d) >= n
+             and all(dims[n][e] == free[e] for e in range(max(d - max(sys.ring.weights.weights), 0), d))),
+            None,
+        )
+        assert bool(products) == (regular is not None and n > 1)
+        reached.append(regular is not None)
+        if regular is not None:
+            for d, built in calls:
+                if d >= regular:
+                    assert built in _prefix_dims_unsettled(sys, bounds, dims, restricted, d), (d, built)
+        # a run whose leading inputs are monomials builds none of their rows
+        # and harvests each such pivot as the monomial itself
+        if len(sys.polys[0].terms) == 1 and math.prod(sorted(sys.degrees)[: sys.n]) <= 36:
+            gb = matrix_gb_whomog(sys)
+            assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]
+
+    check()
+    assert len(reached) >= 300 and sum(reached) >= len(reached) / 3

@@ -34,7 +34,7 @@ from wgb import (
     wdeg,
 )
 from wgb.engine import buchberger, elimination_gb
-from wgb.errors import ArityError, EmptySupportError
+from wgb.errors import ArityError, EmptySupportError, NonPositiveDegreeError
 from wgb.monomial import monomials_of_wdeg, monomials_of_wdeg_at_most
 from wgb.structure import RegularityVerdict
 
@@ -129,6 +129,20 @@ def test_regular_sequence_with_zero_polynomial():
     only_zero = PolySystem(R2, [R2.zero()], (2,))
     assert is_regular_sequence(only_zero) == RegularityVerdict(False, False, 4, (2, 3, 2))
     assert regularity_oracle.is_regular_sequence(only_zero) == is_regular_sequence(only_zero)
+
+
+def test_constant_inputs_are_refused():
+    # a constant is a unit: 1 - T^0 = 0 makes the product form identically
+    # zero, and the unit ideal's zero quotient would match it
+    R = ring((1, 2), names=("X", "Y"))
+    X, Y = R.gens()
+    for polys in ([X, R.const(1)], [R.const(3), Y], [R.const(1)]):
+        sys = PolySystem(R, polys)
+        for verdict in (is_regular_sequence, is_noether_position, is_snp, is_semiregular, structure_report):
+            with pytest.raises(NonPositiveDegreeError, match=r"polynomial #\d has declared degree 0"):
+                verdict(sys)
+    # a zero input of positive declared degree is still judged
+    assert not is_regular_sequence(PolySystem(R, [X, R.zero()], (1, 2))).regular
 
 
 def test_empty_sequence_verdicts():
@@ -432,6 +446,62 @@ def test_structure_report_shares_one_run():
         )
         assert rep == separate
         assert rep.as_dict() == separate.as_dict()
+
+
+def _run_degree_calls(monkeypatch):
+    """The (degree, n_inputs) of every _MatrixRun.run_degree call, as made."""
+    calls = []
+    real = wgb.engine._MatrixRun.run_degree
+
+    def recorded(run, d, n_inputs=None):
+        calls.append((d, n_inputs))
+        return real(run, d, n_inputs)
+
+    monkeypatch.setattr(wgb.engine._MatrixRun, "run_degree", recorded)
+    return calls
+
+
+def _assert_oracle_verdicts(rep, sys):
+    """The report's verdicts against the Buchberger-based oracles."""
+    from semiregular_oracle import rank_clause
+
+    assert rep.regular == regularity_oracle.is_regular_sequence(sys)
+    assert (rep.snp.snp, rep.snp.first_failing_prefix) == regularity_oracle.snp_substitute(sys)
+    semi = rep.semiregular
+    assert (semi.rank_ok, semi.first_failure) == rank_clause(sys, semi.window)
+
+
+def test_regular_square_report_builds_no_row_past_its_certificate(monkeypatch):
+    # R/(f_1..f_4) has the series (1 + T + T^2)^4, zero from degree 9, which
+    # certificate (a) reads after degree 9: f_1..f_4 is a regular sequence,
+    # every prefix's dimensions follow from the product form, and each
+    # restricted quotient k[x_1..x_i]/J_i is zero by then too
+    sys = random_w_homogeneous_system((1, 1, 1, 1), (3, 3, 3, 3), seed=11)
+    calls = _run_degree_calls(monkeypatch)
+    rep = structure_report(sys)
+    assert [d for d, _ in calls] == list(range(10))
+    assert rep.regular and rep.snp and rep.semiregular
+    _assert_oracle_verdicts(rep, sys)
+
+
+def test_square_report_keeps_the_rows_of_an_unsettled_prefix(monkeypatch):
+    # f_1 = X2*q vanishes at X2 = X3 = 0, so the restricted quotient of
+    # prefix 1, k[X1]/(0), never vanishes and its rows are built to the end;
+    # prefix 2's, k[X1, X2]/(X2*q, f_2), is zero-dimensional
+    R = ring((1, 1, 1))
+    X2 = R.gen(1)
+    f1, f2, f3 = random_w_homogeneous_system((1, 1, 1), (3, 3, 3), seed=5).polys
+    q = random_w_homogeneous_system((1, 1, 1), (2,), seed=6).polys[0]
+    sys = PolySystem(R, [X2 * q, f2, f3])
+    calls = _run_degree_calls(monkeypatch)
+    rep = structure_report(sys)
+    # the series (1 + T + T^2)^3 is zero from degree 7, read after degree 7
+    assert [d for d, n in calls if n == 3] == list(range(8))
+    # then f_1's alone, up to prefix 1's bound (its semi-regularity window)
+    assert [(d, n) for d, n in calls if d > 7] == [(8, 1), (9, 1), (10, 1)]
+    assert rep.semiregular.window + 3 == 10
+    assert rep.regular and not rep.snp and rep.snp.first_failing_prefix == 1
+    _assert_oracle_verdicts(rep, sys)
 
 
 @st.composite
