@@ -28,9 +28,9 @@ from .linalg import row_echelon, row_rank_profile, zeros
 from .monomial import mono_divides, monomials_of_wdeg, wdeg
 from .order import WGREVLEX, MonomialOrder
 from .poly import Polynomial, reduce_poly, spoly
-from .series import expand_rational, monomial_census
-# neither is called here; perfbench/tracing.py wraps these bindings
-from .series import semiregular_truncation_degree, staircase_census  # noqa: F401
+from .series import expand_rational, monomial_census, staircase_census
+# not called here; perfbench/tracing.py wraps this binding
+from .series import semiregular_truncation_degree  # noqa: F401
 from .transform import hom_w_inverse, hom_w_system
 
 
@@ -375,16 +375,6 @@ class _MatrixRun:
         self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
         return new_pivots
 
-    def count_monomials(self, d, n_inputs):
-        """Count the pivots of degree d, building no row, when each of the
-        first n_inputs inputs has at most one term.  run_degree counts the
-        same, but it also tests every multiplier against the criterion and
-        harvests, for a record and later skips that a run left with only
-        such inputs has no use for."""
-        first = self._first_divisors(d, n_inputs)
-        pivots = np.flatnonzero(first < len(self.inputs))
-        self._count_pivots(d, pivots, first[pivots])
-
     def h(self, e):
         """dim (R/I)_e once the run has passed e: monomials less pivots."""
         return len(self.table(e)[0]) - self.prefix_pivots.get(e, [0])[-1]
@@ -502,35 +492,32 @@ def prefix_ideal_dims(sys, up_to_degrees):
     15.12), so the restricted dimension counts those on x_1..x_i alone: it
     is dim (J_i)_e, J_i = (f_j(x_1..x_i, 0..0))_{j <= i} in k[x_1..x_i].
 
-    Each prefix carries certificate (a) of matrix_gb_whomog: once
-    R/(f_1..f_j) is zero in the max w degrees below d > 0, every monomial
-    of degree d is x_v times a leading monomial of (f_1..f_j), so it is one
-    too, in this degree and every later one.  From the first such d on,
-    the counts of every prefix i >= j are read off the census: dim
-    (f_1..f_i)_d is the number of degree-d monomials, the restricted one
-    the number of them in x_1..x_i, and only the rows of f_1..f_{j-1} are
-    built.  Once those are all inputs of one term, the prefixes they form
-    are monomial ideals, and no row is built at all: a column is a leading
-    monomial of (f_1..f_i) when the monomial of some f_j, j <= i, divides
-    it.
+    One rule settles every count.  Each count of each prefix is its census
+    (the monomials of degree e, in x_1..x_i for the restricted one) less the
+    dimension of its quotient, and that is counted off the run's pivots
+    until a closed form for it is known, in one of three ways:
 
-    Two more certificates stop the rows of shorter prefixes:
+    * from the start, when f_1..f_i have one term at most: (f_1..f_i) and
+      J_i are monomial ideals, J_i generated by the monomials free of
+      x_{i+1}..x_n, and the pivot recursion of staircase_census counts
+      their quotients in every degree (Bayer-Stillman, Computation of
+      Hilbert functions, JSC 1992);
+    * from the first degree d > 0 after min(w, d) degrees in a row where the
+      quotient is zero, w = max W (max(w_1..w_i) for J_i): by the argument
+      of certificate (a) of matrix_gb_whomog, every monomial of degree d is
+      x_v times a leading monomial, so it is one too, and the quotient stays
+      zero;
+    * (r) when R/(f_1..f_n) becomes zero that way and d_1..d_n > 0: f_1..f_n
+      is a homogeneous system of parameters of R, so a regular sequence, as
+      R is graded Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings, Thm
+      2.1.2), and so is each prefix f_1..f_i, whose quotient has the series
+      prod_{j <= i} (1 - T^d_j) / prod (1 - T^w_v) (Stanley, Hilbert
+      functions of graded algebras, 1978).
 
-    * (r) when that smallest j is n and d_1..d_n > 0, f_1..f_n is a
-      homogeneous system of parameters of R, so a regular sequence, as R is
-      graded Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings, Thm
-      2.1.2).  Each prefix f_1..f_i is regular too, and R/(f_1..f_i) has
-      the series prod_{j <= i} (1 - T^d_j) / prod (1 - T^w_v) (Stanley,
-      Hilbert functions of graded algebras, 1978): dim (f_1..f_i)_e is
-      read off it in every degree, and only the restricted counts still
-      need rows;
-    * (s) once k[x_1..x_i]/J_i is zero in the max(w_1..w_i) degrees below
-      d, it is zero from d on by the argument of (a) in k[x_1..x_i], and
-      the restricted count of prefix i is the number of degree-d monomials
-      in x_1..x_i.
-
-    After (r) only the rows of f_1..f_j are built, j the longest prefix
-    below n still asked for and without (s); none once there is no such j.
+    Each degree builds the rows of f_1..f_j alone, j the longest prefix
+    whose dimension is not known (asked for at this degree or below the
+    longest one that is) or whose restricted count is not known and still
+    asked for; none once every such count is known.
     """
     run = _MatrixRun(sys, count_only=True)
     m, n = len(run.inputs), run.ring.n
@@ -539,48 +526,39 @@ def prefix_ideal_dims(sys, up_to_degrees):
     W = run.ws.weights
     top = max(up_to_degrees, default=-1)
     out = [[[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees] for _ in range(2)]
-    free = monomial_census(W, top)
-    # the monomials in x_1..x_i per degree, i = 1..m
-    in_vars = [monomial_census(W[:i], top) for i in range(1, m + 1)]
+    # per count (dimension, restricted) and prefix: its census, the width of
+    # its certificate, its quotient by degree once known, and the degrees in
+    # a row, up to the last one counted, where that quotient is zero
+    census = [[monomial_census(W, top)] * m, [monomial_census(W[:i], top) for i in range(1, m + 1)]]
+    width = [[run.ws.max] * m, [max(W[:i]) for i in range(1, m + 1)]]
+    known = [[None] * m for _ in range(2)]
+    zeros = [[0] * m for _ in range(2)]
+    for i in range(1, run.units + 1):
+        gens = [f.lm for f in run.inputs[:i] if f]
+        known[0][i - 1] = staircase_census(gens, W, top)
+        known[1][i - 1] = staircase_census([g[:i] for g in gens if not any(g[i:])], W[:i], top)
     none = [0] * m
-    full = m + 1  # the smallest prefix whose quotient is zero from degree d on, if any
-    product = None  # under (r): dim (f_1..f_i)_e, i = 1..n-1, by degree
-    settled = [False] * n  # (s) per prefix i < n
     for d in range(top + 1):
-        k = max(i + 1 for i, u in enumerate(up_to_degrees) if u >= d)
-        if d and product is None:  # the monomial 1 is no multiple of a variable
-            window = range(max(d - run.ws.max, 0), d)
-            zero = (j for j in range(1, min(full, k + 1))
-                    if all(run.prefix_pivots.get(e, none)[j - 1] == free[e] for e in window))
-            full = next(zero, full)
-            # (r); full is m + 1 while no prefix has vanished, and a zero
-            # input's degree is -1
-            if full == n <= m and min(run.degrees[:n]) > 0:
-                product = [
-                    [a - b for a, b in zip(free, expand_rational(run.degrees[:i], W, top).coeffs_upto(top))]
-                    for i in range(1, n)
-                ]
-        if product is None:
-            built = min(k, full - 1)  # the inputs whose rows count
-        else:
-            asked = [i for i in range(1, min(k + 1, n)) if d <= up_to_degrees[i - 1]]
-            for i in asked:
-                window = range(max(d - max(W[:i]), 0), d)
-                settled[i] = settled[i] or all(out[1][i][e] == in_vars[i - 1][e] for e in window)
-            built = max((i for i in asked if not settled[i]), default=0)
-        if built > run.units:
+        asked = [i for i, u in enumerate(up_to_degrees) if u >= d]
+        counts = [(0, i) for i in range(asked[-1] + 1)] + [(1, i) for i in asked]
+        for c, i in counts:
+            # d > 0: the monomial 1 is no multiple of a variable
+            if d and known[c][i] is None and zeros[c][i] >= min(width[c][i], d):
+                known[c][i] = [0] * (top + 1)
+                if c == 0 and i + 1 == n and min(run.degrees[:n]) > 0:
+                    # (r) for the prefixes below n past the monomial ones,
+                    # none of which has a zero quotient (Krull)
+                    for j in range(run.units, n - 1):
+                        known[0][j] = expand_rational(run.degrees[: j + 1], W, top).coeffs_upto(top)
+        built = max((i + 1 for c, i in counts if known[c][i] is None), default=0)
+        if built:
             run.run_degree(d, n_inputs=built)
-        elif built:
-            run.count_monomials(d, built)
-        if product is None:
-            dims = run.prefix_pivots.get(d, none)[:built] + [free[d]] * m
-        else:
-            dims = [dims_i[d] for dims_i in product] + [free[d]] * m
-        restricted = run.restricted_pivots.get(d, none)[:built] + [c[d] for c in in_vars[built:]]
-        for rows, row_counts in zip(out, (dims, restricted)):
-            for i, c in enumerate(row_counts[:k]):
-                if d <= up_to_degrees[i]:
-                    rows[i + 1][d] = c
+        pivots = run.prefix_pivots.get(d, none), run.restricted_pivots.get(d, none)
+        for c, i in counts:
+            q = census[c][i][d] - pivots[c][i] if known[c][i] is None else known[c][i][d]
+            zeros[c][i] = 0 if q else zeros[c][i] + 1
+            if d <= up_to_degrees[i]:
+                out[c][i + 1][d] = census[c][i][d] - q
     return out
 
 

@@ -6,7 +6,8 @@ class DimensionError(ValueError):
 
 
 class FieldMismatchError(ValueError):
-    """Operands live over different prime fields."""
+    """Operands live over different prime fields, or a polynomial of a
+    system lives in another ring than the system."""
 
 
 class NotInImageError(ValueError):

@@ -337,7 +337,7 @@ class PolySystem:
         self.ring = ring
         self.polys = tuple(polys)
         for f in self.polys:
-            if f.ring.field != ring.field or f.ring.n != ring.n:
+            if f.ring != ring:
                 raise FieldMismatchError("system polynomials must share the ring")
         if degrees is None:
             degrees = tuple(f.wdeg() for f in self.polys)

@@ -280,3 +280,20 @@ def test_system_rejects_wrong_declared_degree():
     with pytest.raises(ArityError, match="declared 3"):
         PolySystem(R, [X ** 2, X * Y], (2, 3))
     assert PolySystem(R, [X ** 2, R.zero()], (2, 5)).degrees == (2, 5)
+
+
+def test_system_rejects_polynomials_of_another_ring():
+    # x + y^2 is homogeneous under W = (2, 1) only: a system of R1 took its
+    # declared degree from R2's weights and got a basis outside the ideal
+    R1 = PolyRing(PrimeField(7), (1, 1))
+    R2 = PolyRing(PrimeField(7), (2, 1))
+    x, y = R2.gens()
+    with pytest.raises(FieldMismatchError):
+        PolySystem(R1, [x + y ** 2, y ** 3])
+    lex = PolyRing(PrimeField(7), (2, 1), MonomialOrder.lex((2, 1)))
+    for other in (lex, PolyRing(PrimeField(5), (2, 1)), PolyRing(PrimeField(7), (2, 1), names=("A", "B"))):
+        with pytest.raises(FieldMismatchError):
+            PolySystem(other, [x + y ** 2])
+    # an equal ring made apart is the same ring
+    assert PolySystem(PolyRing(PrimeField(7), (2, 1)), [x + y ** 2]).degrees == (2,)
+    assert PolySystem(R2, [x + y ** 2]).with_order(lex.order).ring == lex

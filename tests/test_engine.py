@@ -795,14 +795,13 @@ def test_prefix_ideal_dims_match_the_definition(monkeypatch):
     import wgb.engine as engine
 
     calls, products = [], []
-    for name in ("run_degree", "count_monomials"):
-        real = getattr(engine._MatrixRun, name)
+    real = engine._MatrixRun.run_degree
 
-        def recorded(run, d, n_inputs=None, _real=real):
-            calls.append((d, n_inputs))
-            return _real(run, d, n_inputs)
+    def recorded(run, d, n_inputs=None):
+        calls.append((d, n_inputs))
+        return real(run, d, n_inputs)
 
-        monkeypatch.setattr(engine._MatrixRun, name, recorded)
+    monkeypatch.setattr(engine._MatrixRun, "run_degree", recorded)
     product_form = engine.expand_rational
     monkeypatch.setattr(engine, "expand_rational", lambda *a: products.append(a) or product_form(*a))
     reached = []
@@ -830,8 +829,18 @@ def test_prefix_ideal_dims_match_the_definition(monkeypatch):
              and all(dims[n][e] == free[e] for e in range(max(d - max(sys.ring.weights.weights), 0), d))),
             None,
         )
-        assert bool(products) == (regular is not None and n > 1)
+        # the product form is only needed for a prefix below n that is no
+        # monomial ideal
+        assert bool(products) == (regular is not None and any(len(f.terms) > 1 for f in sys.polys[: n - 1]))
         reached.append(regular is not None)
+        # the prefixes of single-term inputs are counted by their census
+        units = next((i for i, f in enumerate(sys.polys) if len(f.terms) > 1), m)
+        assert all(built > units for _, built in calls)
+        # nor does any degree d > 0 build a prefix whose quotient is zero in
+        # the min(max w, d) degrees below d, a constant input's included
+        w = max(sys.ring.weights.weights)
+        for d, built in calls:
+            assert not d or any(dims[built][e] != free[e] for e in range(max(d - w, 0), d)), (d, built)
         if regular is not None:
             for d, built in calls:
                 if d >= regular:

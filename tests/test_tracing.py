@@ -41,11 +41,11 @@ def test_install_wraps_every_binding_and_restore_puts_them_back():
             ("wgb.fglm", "reduce_poly"),
             ("wgb.structure", "buchberger"),
             ("wgb.engine", "semiregular_truncation_degree"),
-            ("wgb.engine", "staircase_census"),
             ("wgb.structure", "staircase_census"),
             # the layers of a count-only signature run
             ("wgb.structure", "prefix_ideal_dims"),
             ("wgb.engine", "monomials_of_wdeg"),
+            ("wgb.engine", "staircase_census"),
         } <= bindings
     finally:
         tracer.restore()
@@ -74,7 +74,8 @@ def test_a_monomial_table_miss_goes_through_the_traced_binding():
         assert [span[0] for span in tracer.take()] == ["monomial.enumerate"]
         R = PolyRing(7, W)
         x, y, z = R.gens()
-        wgb.structure.is_semiregular(PolySystem(R, [x * y, z**4], (8, 4)))
+        # f_1 has two terms, so the run builds its rows on a table
+        wgb.structure.is_semiregular(PolySystem(R, [x * y + z**8, z**4], (8, 4)))
         names = [span[0] for span in tracer.take()]
     finally:
         tracer.restore()
