@@ -209,6 +209,8 @@ def cmd_bench(args):
     if args.target == "table2":
         report = runner(full=args.full, budget_seconds=args.budget)
     elif args.target == "table1":
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
         report = runner(seeds=tuple(range(1, args.seeds + 1)))
     else:
         report = runner()

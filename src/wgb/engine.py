@@ -299,7 +299,7 @@ class _MatrixRun:
         nrows = int(built.sum())
         if not nrows:
             return None
-        cols, col_arr, _, radix, codes = self.table(d)
+        cols, col_arr, last, radix, codes = self.table(d)
         ncols = len(cols)
 
         # the unit pivots in row order: by input, then by increasing monomial
@@ -329,7 +329,13 @@ class _MatrixRun:
             producers.append(row_input[independent])
         pivots = np.concatenate(pivots)
         producers = np.concatenate(producers)
-        new_pivots = self._count_pivots(d, pivots, producers)
+        # the pivots of degree d per prefix, and per prefix those on monomials
+        # in its leading variables: a pivot of input j on a monomial whose
+        # last variable is x_v counts for the prefixes i >= max(j, v)
+        new_pivots = np.bincount(producers, minlength=m)
+        self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
+        restricted = np.bincount(np.maximum(producers, last[pivots]), minlength=m)
+        self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
         zero = nrows - len(producers)
         per_input = tuple(new_pivots.tolist()), tuple((built - new_pivots).tolist())
         record = DegreeRecord(d, nrows, skipped, ncols, len(producers), zero, *per_input)
@@ -363,17 +369,6 @@ class _MatrixRun:
             if 0 <= self.degrees[i] <= d:
                 first[(self._terms[i][0] <= monos).all(axis=1)] = i
         return first
-
-    def _count_pivots(self, d, pivots, producers):
-        """Store the pivots of degree d per prefix, and per prefix those on
-        monomials in its leading variables; returns the pivots per input."""
-        new_pivots = np.bincount(producers, minlength=len(self.inputs))
-        self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
-        # a pivot of input j on a monomial whose last variable is x_v counts
-        # for the prefixes i >= max(j, v)
-        restricted = np.bincount(np.maximum(producers, self.table(d)[2][pivots]), minlength=len(self.inputs))
-        self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
-        return new_pivots
 
     def h(self, e):
         """dim (R/I)_e once the run has passed e: monomials less pivots."""
@@ -491,6 +486,9 @@ def prefix_ideal_dims(sys, up_to_degrees):
     property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop.
     15.12), so the restricted dimension counts those on x_1..x_i alone: it
     is dim (J_i)_e, J_i = (f_j(x_1..x_i, 0..0))_{j <= i} in k[x_1..x_i].
+    A prefix of i >= n inputs sets no variable to zero, so its restricted
+    row is a copy of its dims row, and only the prefixes of fewer than n
+    inputs keep a restricted count below.
 
     One rule settles every count.  Each count of each prefix is its census
     (the monomials of degree e, in x_1..x_i for the restricted one) less the
@@ -528,19 +526,24 @@ def prefix_ideal_dims(sys, up_to_degrees):
     out = [[[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees] for _ in range(2)]
     # per count (dimension, restricted) and prefix: its census, the width of
     # its certificate, its quotient by degree once known, and the degrees in
-    # a row, up to the last one counted, where that quotient is zero
-    census = [[monomial_census(W, top)] * m, [monomial_census(W[:i], top) for i in range(1, m + 1)]]
-    width = [[run.ws.max] * m, [max(W[:i]) for i in range(1, m + 1)]]
-    known = [[None] * m for _ in range(2)]
-    zeros = [[0] * m for _ in range(2)]
+    # a row, up to the last one counted, where that quotient is zero; the
+    # restricted count only for the short prefixes, of fewer than n inputs
+    short = min(m, n - 1)
+    census = [[monomial_census(W, top)] * m, [monomial_census(W[:i], top) for i in range(1, short + 1)]]
+    width = [[run.ws.max] * m, [max(W[:i]) for i in range(1, short + 1)]]
+    known = [[None] * m, [None] * short]
+    zeros = [[0] * m, [0] * short]
     for i in range(1, run.units + 1):
         gens = [f.lm for f in run.inputs[:i] if f]
-        known[0][i - 1] = staircase_census(gens, W, top)
-        known[1][i - 1] = staircase_census([g[:i] for g in gens if not any(g[i:])], W[:i], top)
+        # a zero input leaves the ideal of the prefix below it as it was
+        same = i > 1 and not run.inputs[i - 1]
+        known[0][i - 1] = known[0][i - 2] if same else staircase_census(gens, W, top)
+        if i <= short:
+            known[1][i - 1] = staircase_census([g[:i] for g in gens if not any(g[i:])], W[:i], top)
     none = [0] * m
     for d in range(top + 1):
         asked = [i for i, u in enumerate(up_to_degrees) if u >= d]
-        counts = [(0, i) for i in range(asked[-1] + 1)] + [(1, i) for i in asked]
+        counts = [(0, i) for i in range(asked[-1] + 1)] + [(1, i) for i in asked if i < short]
         for c, i in counts:
             # d > 0: the monomial 1 is no multiple of a variable
             if d and known[c][i] is None and zeros[c][i] >= min(width[c][i], d):
@@ -559,6 +562,7 @@ def prefix_ideal_dims(sys, up_to_degrees):
             zeros[c][i] = 0 if q else zeros[c][i] + 1
             if d <= up_to_degrees[i]:
                 out[c][i + 1][d] = census[c][i][d] - q
+    out[1][short + 1 :] = [row.copy() for row in out[0][short + 1 :]]
     return out
 
 

@@ -253,22 +253,16 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = self.ring.names
-        parts = []
-        for e, c in self.terms:
-            factors = []
-            for name, a in zip(names, e):
-                if a == 1:
-                    factors.append(name)
-                elif a > 1:
-                    factors.append(f"{name}^{a}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(format_term(c, e, self.ring.names) for e, c in self.terms)
+
+
+def format_term(c, e, names):
+    """The coefficient c, then a factor NAME or NAME^a per nonzero exponent
+    a of e, joined by '*'; c is left out when it is 1 and a factor follows."""
+    factors = [name if a == 1 else f"{name}^{a}" for name, a in zip(names, e) if a]
+    if c == 1 and factors:
+        return "*".join(factors)
+    return "*".join([str(c)] + factors)
 
 
 def reduce_poly(f, basis):

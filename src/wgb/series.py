@@ -385,12 +385,14 @@ def monomial_ideal_is_zero_dim(lt_monomials, n):
 
 
 def quotient_hilbert_series(gb, N=None):
-    """Hilbert series of the quotient by the leading-term ideal of a basis.
+    """Hilbert series of the quotient by the leading-term ideal of a basis,
+    the census of the pivot recursion, whose cost does not grow with the
+    counts.
 
-    For zero-dimensional ideals the full polynomial is returned, the
-    staircase `fglm.staircase` grows counted by weighted degree; otherwise
-    a window up to N (which is then required), the census of the pivot
-    recursion, whose cost does not grow with the counts.
+    For zero-dimensional ideals the full polynomial is returned: with a_i
+    the least exponent of a pure power of x_i among the leading monomials,
+    no monomial outside them lies above the window sum (a_i - 1) * w_i.
+    Otherwise a window up to N, which is then required.
     """
     ring = gb.ring
     W = ring.weights
@@ -398,14 +400,8 @@ def quotient_hilbert_series(gb, N=None):
     if any(all(a == 0 for a in g) for g in lts):
         return HilbertSeries([], window=N or 0, polynomial=True)
     if monomial_ideal_is_zero_dim(lts, ring.n):
-        # fglm builds on this module
-        from .fglm import staircase
-
-        degrees = [wdeg(m, W) for m in staircase(gb)]
-        coeffs = [0] * (max(degrees) + 1)
-        for d in degrees:
-            coeffs[d] += 1
-        return HilbertSeries(coeffs, window=N, polynomial=True)
+        top = sum((min(g[i] for g in lts if g[i] == sum(g)) - 1) * w for i, w in enumerate(W))
+        return HilbertSeries(staircase_census(lts, W, top), window=N, polynomial=True)
     if N is None:
         raise PositiveDimensionError(
             "positive-dimensional quotient: a window N is required"

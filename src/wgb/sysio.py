@@ -24,7 +24,7 @@ import re
 from .errors import SystemFormatError
 from .field import DEFAULT_MODULUS, PrimeField
 from .monomial import WeightSystem
-from .poly import PolyRing, PolySystem
+from .poly import PolyRing, PolySystem, format_term
 
 # [sign] term (sign term)*, a term factor ('*' factor)*, a factor INT or
 # NAME ['^' INT]; whitespace stands only before a token or at the end, so
@@ -63,26 +63,13 @@ def format_polynomial(f):
     if f.is_zero:
         return "0"
     p = f.ring.field.p
-    names = f.ring.names
     parts = []
     for e, c in f.terms:
         if c > p // 2:
             sgn, mag = "-", p - c
         else:
             sgn, mag = "+", c
-        factors = []
-        for nm, a in zip(names, e):
-            if a == 1:
-                factors.append(nm)
-            elif a > 1:
-                factors.append(f"{nm}^{a}")
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = f"{mag}*" + "*".join(factors)
-        parts.append((sgn, body))
+        parts.append((sgn, format_term(mag, e, f.ring.names)))
     first_sgn, first_body = parts[0]
     text = ("-" if first_sgn == "-" else "") + first_body
     for sgn, body in parts[1:]:

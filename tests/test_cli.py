@@ -293,3 +293,9 @@ def test_bench_table1(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True and data["entries"]
     assert all(e["match"] for e in data["entries"])
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_bench_table1_refuses_fewer_than_one_seed(seeds, capsys):
+    assert main(["bench", "table1", "--seeds", seeds]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err

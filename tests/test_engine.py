@@ -853,3 +853,36 @@ def test_prefix_ideal_dims_match_the_definition(monkeypatch):
 
     check()
     assert len(reached) >= 300 and sum(reached) >= len(reached) / 3
+
+
+def test_prefix_ideal_dims_counts_each_census_once(monkeypatch):
+    # a run counts no monomial ideal twice, and a prefix of n inputs or more,
+    # which sets no variable to zero, gets its dims row as its restricted
+    # row, in a list of its own
+    import wgb.engine as engine
+
+    calls = []
+    census = engine.staircase_census
+    monkeypatch.setattr(
+        engine, "staircase_census", lambda gens, W, N: calls.append((tuple(gens), W, N)) or census(gens, W, N)
+    )
+
+    def check(sys, bounds):
+        calls.clear()
+        dims, restricted = prefix_ideal_dims(sys, bounds)
+        assert len(calls) == len(set(calls))
+        for i in range(sys.n, sys.m + 1):
+            assert restricted[i] == dims[i] and restricted[i] is not dims[i]
+
+    # single-term inputs past n, and a zero one
+    R = PolyRing(7, (2, 1))
+    x, y = R.gens()
+    check(PolySystem(R, [x**2, y**3, R.zero(), x * y]), [6, 6, 6, 6])
+    assert len(calls) == 4
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_prefix_dims_cases())
+    def cases(case):
+        check(*case)
+
+    cases()

@@ -28,7 +28,8 @@ from wgb import (
     weighted_bezout,
 )
 from wgb.errors import ArityError, InsufficientWindowError, PositiveDimensionError
-from wgb.monomial import monomials_of_wdeg
+from wgb.fglm import staircase
+from wgb.monomial import monomials_of_wdeg, wdeg
 from wgb.series import monomial_ideal_is_zero_dim, staircase_census
 from wgb.structure import is_regular_sequence, random_w_homogeneous_system
 
@@ -333,19 +334,24 @@ def test_quotient_series_matches_rational_for_regular(sys):
         assert ideal_degree(s) == weighted_bezout(W, D)
 
 
+_R = PolyRing(7, (2, 1))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_square_systems())
+@example(PolySystem(_R, [_R.gen(0) ** 3, _R.gen(1) ** 2]))  # the top of the window is reached
+@example(PolySystem(_R, [_R.gen(0) + _R.gen(1) ** 2, _R.one()]))  # the unit ideal
 def test_zero_dim_quotient_series_counts_the_staircase(sys):
-    # the pivot-recursion census of the leading monomials is the oracle for
-    # the count of the FGLM staircase by weighted degree
+    # the FGLM staircase counted by weighted degree is the oracle for the
+    # pivot-recursion census, with N absent, below the degree and above it
     gb = buchberger(sys)
     lts = gb.lt_monomials()
-    assume(monomial_ideal_is_zero_dim(lts, sys.n))
-    s = quotient_hilbert_series(gb)
-    census = staircase_census(lts, sys.ring.weights, s.degree + 1)
-    while census and census[-1] == 0:
-        census.pop()
-    assert s.polynomial and s.coeffs == census
+    assume(monomial_ideal_is_zero_dim(lts, sys.n) or lts == [(0,) * sys.n])
+    degrees = [wdeg(m, sys.ring.weights) for m in staircase(gb)]
+    want = [degrees.count(d) for d in range(max(degrees, default=-1) + 1)]
+    for N in (None, max(len(want) - 2, 0), len(want) + 3):
+        s = quotient_hilbert_series(gb, N)
+        assert s.polynomial and s.coeffs == want and s.window == max(N or 0, len(want) - 1)
 
 
 def test_ideal_degree_requires_polynomial():

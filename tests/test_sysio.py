@@ -164,3 +164,29 @@ def test_header_integers_and_names():
     assert sys.ring.weights.weights == (2, 1, 10)
     # no p line: the default modulus
     assert parse_system("vars X\nweights 1\n").ring.field.p == 65521
+
+
+def test_both_printers_render_terms_alike():
+    # str writes each coefficient as its residue, format_polynomial as the
+    # residue of least absolute value after a sign; the factors and the
+    # coefficient 1 left out before them are the same in both
+    from wgb import PolyRing
+    from wgb.sysio import format_polynomial
+
+    R = PolyRing(7, (2, 1, 1))
+    x, y, z = R.gens()
+    cases = [
+        (R.zero(), "0", "0"),
+        (R.one(), "1", "1"),
+        (R.const(3), "3", "3"),
+        (R.const(6), "6", "-1"),
+        (x, "X1", "X1"),
+        (6 * x, "6*X1", "-X1"),
+        (3 * x**2, "3*X1^2", "3*X1^2"),
+        (x**2 * y + R.one(), "X1^2*X2 + 1", "X1^2*X2 + 1"),
+        (5 * x * y**2 * z + 6 * z**4 + R.one(), "5*X1*X2^2*X3 + 6*X3^4 + 1", "-2*X1*X2^2*X3 - X3^4 + 1"),
+        (6 * y * z**3 + 2 * x * y + R.const(6), "6*X2*X3^3 + 2*X1*X2 + 6", "-X2*X3^3 + 2*X1*X2 - 1"),
+    ]
+    for f, text, formatted in cases:
+        assert (str(f), format_polynomial(f)) == (text, formatted)
+        assert parse_polynomial(formatted, R) == f
