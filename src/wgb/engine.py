@@ -235,7 +235,11 @@ class _MatrixRun:
     against leading terms discovered for indices < i only.  A zero input
     keeps its index and builds no row.  A count_only run keeps the leading
     monomials and tags of its harvest but no polynomial, and asks the
-    kernel for the rank profile alone."""
+    kernel for the rank profile alone.  It harvests the monomial of every
+    single-term input up front, tagged with that input: the monomial lies
+    in the ideal of every longer prefix, so a multiplier it divides lies in
+    LT(f_1..f_{i-1}) for each later input i.  It never counts the rows of
+    the leading single-term inputs, and keeps no DegreeRecord."""
 
     def __init__(self, sys, count_only=False):
         sys.require_w_homogeneous()
@@ -257,17 +261,18 @@ class _MatrixRun:
         self.count_only = count_only
         self.basis = []  # harvested polynomials, none when count_only
         # leading monomials of the harvest, and the input index that produced each
-        self.lms = np.zeros((0, self.ring.n), dtype=np.int64)
-        self.tags = np.zeros(0, dtype=np.int64)
+        single = [i for i, f in enumerate(self.inputs) if count_only and len(f.terms) == 1]
+        self.lms = np.array([self.inputs[i].lm for i in single], dtype=np.int64).reshape(-1, self.ring.n)
+        self.tags = np.array(single, dtype=np.int64)
         self.prefix_pivots = {}  # degree -> pivots after the rows of inputs 0..i
-        self.restricted_pivots = {}  # degree -> those on monomials in x_0..x_i
         self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
         self._paired = 0  # harvested elements counted in lcm_degree
         self.table = partial(_monomial_table, self.ws.weights)
 
     def run_degree(self, d, n_inputs=None):
         """Build and reduce the degree-d matrix; returns its DegreeRecord, or
-        None when the degree has no row.
+        for a count-only run the pivot columns and the input producing each,
+        and None when the degree has no row.
 
         Rows u*f_i come in input order, multipliers u increasing; the
         signature criterion skips the u divisible by the leading term of an
@@ -279,14 +284,18 @@ class _MatrixRun:
         a unit row, a pivot on its column the first time the column appears
         and a reduction to zero after that.  Reducing a later row by a unit
         pivot only clears its entry in that column, so the other rows are
-        built on the columns those pivots leave free.
+        built on the columns those pivots leave free.  A count-only run
+        harvests no pivot of the last input it builds: only the criterion
+        of a later input would read it.
         """
         lms, tags = self.lms, self.tags
         m = len(self.inputs)
+        n_inputs = m if n_inputs is None else n_inputs
         blocks = []
         built = np.zeros(m, dtype=np.int64)  # rows per input
         skipped = 0
-        for i, di in enumerate(self.degrees[:n_inputs]):
+        for i in range(self.units if self.count_only else 0, n_inputs):
+            di = self.degrees[i]
             if not 0 <= di <= d:
                 continue
             mults = self.table(d - di)[1][::-1]
@@ -296,22 +305,19 @@ class _MatrixRun:
             if len(mults):
                 blocks.append((i, mults))
                 built[i] = len(mults)
-        nrows = int(built.sum())
-        if not nrows:
-            return None
-        cols, col_arr, last, radix, codes = self.table(d)
-        ncols = len(cols)
-
-        # the unit pivots in row order: by input, then by increasing monomial
-        first = self._first_divisors(d, m if n_inputs is None else n_inputs)
+        # the unit pivots, one on each column a leading single-term input's
+        # monomial divides
+        first = self._first_divisors(d, n_inputs)
         taken = first < m
-        unit = np.flatnonzero(taken)[::-1]
-        unit = unit[np.argsort(first[unit], kind="stable")]
+        if not built.any() and not taken.any():
+            return None
+        cols, col_arr, _, radix, codes = self.table(d)
+        unit = np.flatnonzero(taken)
         pivots, producers = [unit], [first[unit]]
         rest = [(i, mults) for i, mults in blocks if i >= self.units]
         if rest:
             free = np.flatnonzero(~taken)
-            where = np.full(ncols, -1, dtype=np.int64)
+            where = np.full(len(cols), -1, dtype=np.int64)
             where[free] = np.arange(len(free))
             A = zeros((int(built[self.units :].sum()), len(free)), np.int32)
             r0 = 0
@@ -329,33 +335,34 @@ class _MatrixRun:
             producers.append(row_input[independent])
         pivots = np.concatenate(pivots)
         producers = np.concatenate(producers)
-        # the pivots of degree d per prefix, and per prefix those on monomials
-        # in its leading variables: a pivot of input j on a monomial whose
-        # last variable is x_v counts for the prefixes i >= max(j, v)
+        # the pivots of degree d per prefix
         new_pivots = np.bincount(producers, minlength=m)
         self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
-        restricted = np.bincount(np.maximum(producers, last[pivots]), minlength=m)
-        self.restricted_pivots[d] = list(accumulate(restricted.tolist()))
-        zero = nrows - len(producers)
-        per_input = tuple(new_pivots.tolist()), tuple((built - new_pivots).tolist())
-        record = DegreeRecord(d, nrows, skipped, ncols, len(producers), zero, *per_input)
 
         # a new leading monomial not divisible by an earlier one is harvested;
-        # two of one degree never divide each other
-        new_lms = col_arr[pivots]
-        harvest = np.flatnonzero(~_divisible(new_lms, lms))
-        self.lms = np.concatenate([lms, new_lms[harvest]])
-        self.tags = np.concatenate([tags, producers[harvest]])
-        if not self.count_only:
-            for k in harvest.tolist():
-                if k < len(unit):  # a unit pivot is the monomial itself
-                    terms = ((cols[pivots[k]], 1),)
-                else:
-                    row = E[k - len(unit)]
-                    nz = np.flatnonzero(row)
-                    terms = tuple(zip([cols[j] for j in free[nz].tolist()], row[nz].tolist()))
-                self.basis.append(Polynomial(self.ring, terms))
-        return record
+        # two of one degree never divide each other.  A count-only run has
+        # harvested the divisor of every unit pivot up front
+        if self.count_only:
+            fresh = len(unit) + np.flatnonzero(producers[len(unit) :] < n_inputs - 1)
+        else:
+            fresh = np.arange(len(pivots))
+        harvest = fresh[~_divisible(col_arr[pivots[fresh]], lms)] if len(fresh) else fresh
+        if len(harvest):
+            self.lms = np.concatenate([lms, col_arr[pivots[harvest]]])
+            self.tags = np.concatenate([tags, producers[harvest]])
+        if self.count_only:
+            return pivots, producers
+        for k in harvest.tolist():
+            if k < len(unit):  # a unit pivot is the monomial itself
+                terms = ((cols[pivots[k]], 1),)
+            else:
+                row = E[k - len(unit)]
+                nz = np.flatnonzero(row)
+                terms = tuple(zip([cols[j] for j in free[nz].tolist()], row[nz].tolist()))
+            self.basis.append(Polynomial(self.ring, terms))
+        nrows = int(built.sum())
+        per_input = tuple(new_pivots.tolist()), tuple((built - new_pivots).tolist())
+        return DegreeRecord(d, nrows, skipped, len(cols), len(producers), nrows - len(producers), *per_input)
 
     def _first_divisors(self, d, n_inputs):
         """For each degree-d column, the first of the leading single-term
@@ -470,10 +477,13 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     )
 
 
-def prefix_ideal_dims(sys, up_to_degrees):
-    """(dims, restricted) from one signature run: row i lists dim
-    (f_1..f_i)_e, and dim (f_1..f_i)_e with x_{i+1}..x_n set to zero, for
-    e = 0..up_to_degrees[i-1] (row 0, the zero ideal, up to the largest).
+def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
+    """(dims, restricted) from one signature run: row i of dims lists dim
+    (f_1..f_i)_e for e = 0..up_to_degrees[i-1], and row i of restricted dim
+    (f_1..f_i)_e with x_{i+1}..x_n set to zero for e =
+    0..restricted_up_to[i-1], a bound of -1 asking for none; row 0, the
+    zero ideal, reaches the largest bound of its kind.  No restricted count
+    is asked past its prefix's dimensions.
 
     Rows enter each degree's matrix in input order, and the criterion only
     skips a row u*f_i whose u is divisible by the leading term of an element
@@ -514,56 +524,80 @@ def prefix_ideal_dims(sys, up_to_degrees):
 
     Each degree builds the rows of f_1..f_j alone, j the longest prefix
     whose dimension is not known (asked for at this degree or below the
-    longest one that is) or whose restricted count is not known and still
-    asked for; none once every such count is known.
+    longest one that is) or whose restricted count is not known and asked
+    for.  When the leading inputs have one term, a degree where no later
+    input has a row and no restricted count is unknown makes no run: every
+    longer prefix has their ideal there, whose census is known.  The run
+    ends at the first degree where every count asked for is known.
     """
     run = _MatrixRun(sys, count_only=True)
     m, n = len(run.inputs), run.ring.n
-    if len(up_to_degrees) != m:
-        raise ValueError(f"need {m} degree bounds, got {len(up_to_degrees)}")
+    if len(up_to_degrees) != m or len(restricted_up_to) != m:
+        raise ValueError(f"need {m} degree bounds of each kind, got {len(up_to_degrees)} and {len(restricted_up_to)}")
+    if any(r > u for r, u in zip(restricted_up_to, up_to_degrees)):
+        raise ValueError("a restricted count is asked past its prefix's dimensions")
     W = run.ws.weights
     top = max(up_to_degrees, default=-1)
-    out = [[[0] * (top + 1)] + [[0] * (u + 1) for u in up_to_degrees] for _ in range(2)]
-    # per count (dimension, restricted) and prefix: its census, the width of
-    # its certificate, its quotient by degree once known, and the degrees in
-    # a row, up to the last one counted, where that quotient is zero; the
-    # restricted count only for the short prefixes, of fewer than n inputs
+    # per count (dimension, restricted) and prefix: its bound, its census,
+    # the width of its certificate, its quotient by degree once known, and
+    # its quotient in each degree so far; the restricted count only for the
+    # short prefixes, of fewer than n inputs
     short = min(m, n - 1)
+    bounds = [list(up_to_degrees), list(restricted_up_to[:short])]
     census = [[monomial_census(W, top)] * m, [monomial_census(W[:i], top) for i in range(1, short + 1)]]
     width = [[run.ws.max] * m, [max(W[:i]) for i in range(1, short + 1)]]
     known = [[None] * m, [None] * short]
-    zeros = [[0] * m, [0] * short]
+    quotients = [[[] for _ in range(m)], [[] for _ in range(short)]]
     for i in range(1, run.units + 1):
         gens = [f.lm for f in run.inputs[:i] if f]
         # a zero input leaves the ideal of the prefix below it as it was
         same = i > 1 and not run.inputs[i - 1]
         known[0][i - 1] = known[0][i - 2] if same else staircase_census(gens, W, top)
-        if i <= short:
+        if i <= short and bounds[1][i - 1] >= 0:
             known[1][i - 1] = staircase_census([g[:i] for g in gens if not any(g[i:])], W[:i], top)
     none = [0] * m
     for d in range(top + 1):
         asked = [i for i, u in enumerate(up_to_degrees) if u >= d]
-        counts = [(0, i) for i in range(asked[-1] + 1)] + [(1, i) for i in asked if i < short]
+        counts = [(0, i) for i in range(asked[-1] + 1)] + [(1, i) for i, r in enumerate(bounds[1]) if r >= d]
         for c, i in counts:
             # d > 0: the monomial 1 is no multiple of a variable
-            if d and known[c][i] is None and zeros[c][i] >= min(width[c][i], d):
+            if d and known[c][i] is None and not any(quotients[c][i][-min(width[c][i], d) :]):
                 known[c][i] = [0] * (top + 1)
                 if c == 0 and i + 1 == n and min(run.degrees[:n]) > 0:
                     # (r) for the prefixes below n past the monomial ones,
                     # none of which has a zero quotient (Krull)
                     for j in range(run.units, n - 1):
                         known[0][j] = expand_rational(run.degrees[: j + 1], W, top).coeffs_upto(top)
-        built = max((i + 1 for c, i in counts if known[c][i] is None), default=0)
-        if built:
-            run.run_degree(d, n_inputs=built)
-        pivots = run.prefix_pivots.get(d, none), run.restricted_pivots.get(d, none)
+        unknown = [(c, i) for c, i in counts if known[c][i] is None]
+        if not unknown:
+            break
+        built = max(i for _, i in unknown) + 1
+        # an unknown restricted count is one of a prefix past the leading
+        # single-term inputs, and reads their pivots
+        restricted = any(c for c, _ in unknown)
+        if not run.units or restricted or any(0 <= di <= d for di in run.degrees[run.units : built]):
+            got = run.run_degree(d, n_inputs=built)
+            pivots = [run.prefix_pivots.get(d, none), none]
+            if got is not None and restricted:
+                # a pivot of input j on a monomial whose last variable is x_v
+                # lies in x_1..x_i for the prefixes i >= max(j, v)
+                at, producers = got
+                tally = np.bincount(np.maximum(producers, run.table(d)[2][at]), minlength=m)
+                pivots[1] = list(accumulate(tally.tolist()))
+        else:
+            # no input past the leading single-term ones has a row: every
+            # longer prefix has their ideal in degree d
+            pivots = [[census[0][0][d] - known[0][run.units - 1][d]] * m, none]
         for c, i in counts:
-            q = census[c][i][d] - pivots[c][i] if known[c][i] is None else known[c][i][d]
-            zeros[c][i] = 0 if q else zeros[c][i] + 1
-            if d <= up_to_degrees[i]:
-                out[c][i + 1][d] = census[c][i][d] - q
-    out[1][short + 1 :] = [row.copy() for row in out[0][short + 1 :]]
-    return out
+            quotients[c][i].append(census[c][i][d] - pivots[c][i] if known[c][i] is None else known[c][i][d])
+    # each quotient as counted, then its closed form
+    rows = [[[0] * (top + 1)], [[0] * (max(restricted_up_to, default=-1) + 1)]]
+    for c in (0, 1):
+        for i, u in enumerate(bounds[c]):
+            q = quotients[c][i] + (known[c][i] or [])[len(quotients[c][i]) :]
+            rows[c].append([a - b for a, b in zip(census[c][i][: u + 1], q)])
+    rows[1] += [row[: r + 1] for row, r in zip(rows[0][short + 1 :], restricted_up_to[short:])]
+    return rows
 
 
 def gb_via_homw(sys):

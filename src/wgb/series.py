@@ -63,7 +63,13 @@ class HilbertSeries:
         )
 
     def coeffs_upto(self, N):
-        return [self.coeff(d) for d in range(N + 1)]
+        """[coeff(0), .., coeff(N)], a slice of the stored list."""
+        if N > self.window and not self.polynomial:
+            raise InsufficientWindowError(
+                f"coefficient {self.window + 1} beyond computed window {self.window}"
+            )
+        head = self.coeffs[: max(N + 1, 0)]
+        return head + [0] * (N + 1 - len(head))
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
@@ -392,8 +398,11 @@ def quotient_hilbert_series(gb, N=None):
     For zero-dimensional ideals the full polynomial is returned: with a_i
     the least exponent of a pure power of x_i among the leading monomials,
     no monomial outside them lies above the window sum (a_i - 1) * w_i.
-    Otherwise a window up to N, which is then required.
+    Otherwise a window up to N, which is then required.  A negative N is
+    refused.
     """
+    if N is not None and N < 0:
+        raise ValueError("window must be >= 0")
     ring = gb.ring
     W = ring.weights
     lts = gb.lt_monomials()

@@ -108,17 +108,18 @@ def _verdict_system(sys):
     return _wgrevlex_system(sys)
 
 
-def _hilbert_functions(sys, bounds):
+def _hilbert_functions(sys, bounds, restricted_bounds):
     """([h_0, .., h_m], r) off one signature run: h_i(e) = dim
     (R/(f_1..f_i))_e up to bounds[i-1], h_0 up to the largest bound, and r
-    the restricted dimensions of `prefix_ideal_dims`.  With no input there
-    is no run: h_0 and r_0 reach the empty sequence's window, the window of
-    every verdict on it."""
+    the restricted dimensions of `prefix_ideal_dims`, r_i up to
+    restricted_bounds[i-1] (-1 for none).  With no input there is no run:
+    h_0 and r_0 reach the empty sequence's window, the window of every
+    verdict on it."""
     W = sys.ring.weights
     if not bounds:
         top = default_window(W, ())
         return [list(monomial_census(W.weights, top))], [[0] * (top + 1)]
-    dims, restricted = prefix_ideal_dims(sys, bounds)
+    dims, restricted = prefix_ideal_dims(sys, bounds, restricted_bounds)
     free = list(monomial_census(W.weights, max(bounds)))
     h = [free] + [[free[e] - dim for e, dim in enumerate(row)] for row in dims[1:]]
     return h, restricted
@@ -171,7 +172,7 @@ def is_regular_sequence(sys):
     """
     sys = _require_at_most_n(sys, "regularity")
     window = default_window(sys.ring.weights, sys.degrees)
-    h, _ = _hilbert_functions(sys, [window] * sys.m)
+    h, _ = _hilbert_functions(sys, [window] * sys.m, [-1] * sys.m)
     return _regularity_verdict(sys.ring.weights, sys.degrees, window, h[-1])
 
 
@@ -180,7 +181,8 @@ def is_noether_position(sys):
     by the trailing variables X_{m+1}..X_n is regular."""
     sys = _require_at_most_n(sys, "Noether position")
     window = _extended(sys, sys.m)[1]
-    _, restricted = _hilbert_functions(sys, [window] * sys.m)
+    asked = [window if i == sys.m else -1 for i in range(1, sys.m + 1)]
+    _, restricted = _hilbert_functions(sys, [window] * sys.m, asked)
     return _noether_verdict(sys, sys.m, restricted)
 
 
@@ -198,7 +200,7 @@ def is_snp(sys):
     """Simultaneous Noether position: every prefix in Noether position."""
     sys = _require_at_most_n(sys, "Noether position")
     windows = [_extended(sys, i)[1] for i in range(1, sys.m + 1)]
-    _, restricted = _hilbert_functions(sys, windows)
+    _, restricted = _hilbert_functions(sys, windows, windows)
     return _snp(sys, restricted)
 
 
@@ -240,14 +242,15 @@ def is_semiregular(sys, d_max=None):
     one signature run (`prefix_ideal_dims`): the rank of multiplication by
     f_i from degree d is h_{i-1}(d + d_i) - h_i(d + d_i).
     """
-    return _semiregular(_verdict_system(sys), d_max, [0] * sys.m)[0]
+    return _semiregular(_verdict_system(sys), d_max, [0] * sys.m, False)[0]
 
 
-def _semiregular(sys, d_max, windows):
+def _semiregular(sys, d_max, windows, noether):
     """The verdict of `is_semiregular`, the prefix Hilbert functions
     [h_0, .., h_m] it is read from, each h_i (i >= 1) read up to
-    windows[i-1] at least, and the restricted ideal dimensions of the same
-    run."""
+    windows[i-1] at least, and, for Noether position when noether is set,
+    the restricted ideal dimensions of the same run, each as far as its
+    h_i (none otherwise)."""
     W = sys.ring.weights
     D = sys.degrees
     m, n = sys.m, sys.n
@@ -263,7 +266,7 @@ def _semiregular(sys, d_max, windows):
     # h_i is read up to d_max + d_i (multiplication by f_i) and, as the
     # domain side, up to d_max + d_{i+1}
     bounds = [max(d_max + max(D[i - 1 : i + 1]), 0, windows[i - 1]) for i in range(1, m + 1)]
-    h, restricted = _hilbert_functions(sys, bounds)
+    h, restricted = _hilbert_functions(sys, bounds, bounds if noether else [-1] * m)
 
     first_failure = None
     for i in range(1, m + 1):
@@ -464,7 +467,7 @@ def structure_report(sys, d_max=None):
     # up to the window of its prefix's Noether position
     window = default_window(W, D) if m <= n else 0
     windows = [max(window, _extended(sys, i)[1]) if m <= n else 0 for i in range(1, m + 1)]
-    semi, h, restricted = _semiregular(sys, d_max, windows)
+    semi, h, restricted = _semiregular(sys, d_max, windows, m <= n)
     regular = _regularity_verdict(W, D, window, h[m]) if m <= n else None
     snp = _snp(sys, restricted) if m <= n else None
     return StructureReport(

@@ -288,6 +288,16 @@ def test_hilbert_positive_dimensional_system(tmp_path, capsys):
     assert "a window N is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["system", "rational"])
+def test_hilbert_refuses_a_negative_window(source, tmp_path, capsys):
+    out = tmp_path / "ud.txt"
+    main(["gen", "--weights", "1,1,1", "--degrees", "2,2", "--seed", "4", "--out", str(out)])
+    capsys.readouterr()
+    args = [str(out)] if source == "system" else ["--weights", "1,1", "--degrees", "2,2"]
+    assert main(["hilbert", *args, "--window", "-1"]) == 2
+    assert "window must be >= 0" in capsys.readouterr().err
+
+
 def test_bench_table1(capsys):
     assert main(["bench", "table1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

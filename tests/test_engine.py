@@ -324,7 +324,7 @@ def test_prefix_ideal_dims_degree_exactness():
     W = (2, 1)
     sys = random_w_homogeneous_system(W, (4, 4), seed=77)
     full = buchberger(sys)
-    dims, restricted = prefix_ideal_dims(sys, [6, 6])
+    dims, restricted = prefix_ideal_dims(sys, [6, 6], [6, 6])
     census = staircase_census(full.lt_monomials(), W, 6)
     assert dims[2] == [len(monomials_of_wdeg(W, e)) - census[e] for e in range(7)]
     # setting Y = 0 leaves c*X^2 of f_1 (dense support), whose ideal in k[X]
@@ -548,11 +548,11 @@ def test_matrix_engine_off_default_prime_matches_oracle(p, monkeypatch):
         sys = random_w_homogeneous_system(W, D, seed, field=p)
         bounds = [sum(D[: i + 1]) for i in range(len(D))]
         gb = matrix_gb_whomog(sys)
-        dims = prefix_ideal_dims(sys, bounds)
+        dims = prefix_ideal_dims(sys, bounds, bounds)
         with monkeypatch.context() as mp:
             _eliminate_through_oracle(mp)
             want = matrix_gb_whomog(sys)
-            assert prefix_ideal_dims(sys, bounds) == dims
+            assert prefix_ideal_dims(sys, bounds, bounds) == dims
         assert [g.terms for g in gb.polys] == [g.terms for g in want.polys]
         assert gb.stats.as_dict() == want.stats.as_dict()
         assert [g.terms for g in gb.polys] == [g.terms for g in buchberger(sys).polys]
@@ -589,7 +589,7 @@ def test_prefix_ideal_dims_counts_only(monkeypatch):
     x, y, z = R.gens()
     sys = PolySystem(R, [x**2, y**3, (x + y**2 + z**2) ** 2, x * z**2 + y**4], (4, 3, 4, 4))
     bounds = [8, 8, 8, 8]
-    want = prefix_ideal_dims(sys, bounds)
+    want = prefix_ideal_dims(sys, bounds, bounds)
     counts = {"Polynomial": 0, "reduce_rows": 0}
 
     def counting(name, fn):
@@ -606,7 +606,7 @@ def test_prefix_ideal_dims_counts_only(monkeypatch):
         assert counts["Polynomial"] > 0 and counts["reduce_rows"] > 0
         counts.update(Polynomial=0, reduce_rows=0)
         mp.setattr(engine, "row_echelon", None)
-        assert prefix_ideal_dims(sys, bounds) == want
+        assert prefix_ideal_dims(sys, bounds, bounds) == want
     assert counts == {"Polynomial": 0, "reduce_rows": 0}
 
 
@@ -812,7 +812,7 @@ def test_prefix_ideal_dims_match_the_definition(monkeypatch):
         sys, bounds = case
         calls.clear()
         products.clear()
-        got = prefix_ideal_dims(sys, bounds)
+        got = prefix_ideal_dims(sys, bounds, bounds)
         # one oracle run to the largest bound gives every prefix's counts
         top, m, n = max(bounds), sys.m, sys.n
         dims, restricted = prefix_dims_by_rank(sys, [top] * m)
@@ -855,6 +855,31 @@ def test_prefix_ideal_dims_match_the_definition(monkeypatch):
     assert len(reached) >= 300 and sum(reached) >= len(reached) / 3
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_prefix_dims_cases(), st.integers(0, 2**32))
+def test_prefix_ideal_dims_restricted_counts_only_when_asked(case, seed):
+    # the dimensions do not depend on the restricted counts asked for, and
+    # each count asked for is the definition's
+    from prefix_dims_oracle import prefix_dims_by_rank
+
+    sys, bounds = case
+    rng = random.Random(seed)
+    asked = [rng.choice([-1, rng.randint(-1, u), u]) for u in bounds]
+    dims, none = prefix_ideal_dims(sys, bounds, [-1] * sys.m)
+    got = prefix_ideal_dims(sys, bounds, asked)
+    want_dims, want_restricted = prefix_dims_by_rank(sys, [max(bounds)] * sys.m)
+    assert dims == got[0] == [want_dims[0]] + [row[: u + 1] for row, u in zip(want_dims[1:], bounds)]
+    assert none == [[]] * (sys.m + 1)
+    assert got[1] == [[0] * (max(asked) + 1)] + [row[: r + 1] for row, r in zip(want_restricted[1:], asked)]
+
+
+def test_prefix_ideal_dims_refuses_mismatched_bounds():
+    sys = random_w_homogeneous_system((2, 1), (4, 4), seed=77)
+    for bounds, asked in [([6, 6], [6]), ([6], [6]), ([6, 6], [6, 7])]:
+        with pytest.raises(ValueError):
+            prefix_ideal_dims(sys, bounds, asked)
+
+
 def test_prefix_ideal_dims_counts_each_census_once(monkeypatch):
     # a run counts no monomial ideal twice, and a prefix of n inputs or more,
     # which sets no variable to zero, gets its dims row as its restricted
@@ -869,7 +894,7 @@ def test_prefix_ideal_dims_counts_each_census_once(monkeypatch):
 
     def check(sys, bounds):
         calls.clear()
-        dims, restricted = prefix_ideal_dims(sys, bounds)
+        dims, restricted = prefix_ideal_dims(sys, bounds, bounds)
         assert len(calls) == len(set(calls))
         for i in range(sys.n, sys.m + 1):
             assert restricted[i] == dims[i] and restricted[i] is not dims[i]

@@ -255,14 +255,15 @@ def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
     def run_degree(run, d, n_inputs=None):
         state["full"], state["owner"] = _signature_matrix(run, d, n_inputs)
         state["kernel"] = None
-        record = real_degree(run, d, n_inputs)
+        got = real_degree(run, d, n_inputs)
         full, owner = state["full"], state["owner"]
         if len(full):
             # the pivots per input, read-off unit rows included, are the oracle's
             lead = np.array(eliminate_rows(full, run.p)[0])
-            assert list(record.input_pivots) == np.bincount(owner[lead >= 0], minlength=len(run.inputs)).tolist()
+            input_pivots = np.diff([0] + run.prefix_pivots[d]).tolist()
+            assert input_pivots == np.bincount(owner[lead >= 0], minlength=len(run.inputs)).tolist()
             seen.append((len(full), int((owner < units).sum()), state["kernel"]))
-        return record
+        return got
 
     def kernel(A, p):
         full, owner = state["full"], state["owner"]
@@ -278,7 +279,7 @@ def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
     seen = []  # (rows, unit rows, rows the kernel got) of each degree
     monkeypatch.setattr(engine._MatrixRun, "run_degree", run_degree)
     monkeypatch.setattr(engine, "row_rank_profile", kernel)
-    prefix_ideal_dims(sys, [10] * 4)
+    prefix_ideal_dims(sys, [10] * 4, [10] * 4)
     assert all(k is None or k == m - u for m, u, k in seen)
     rows, unit_rows = (sum(c) for c in list(zip(*seen))[:2])
     assert unit_rows > rows // 2 and any(0 < u < m and k for m, u, k in seen)

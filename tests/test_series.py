@@ -61,6 +61,34 @@ def test_window_series_refuses_coefficients_past_its_window():
     assert HilbertSeries([1, 2, 3], polynomial=True).coeff(6) == 0
 
 
+def test_coeffs_upto_is_the_list_of_coefficients():
+    # a slice of the stored list, padded with zeros, for N below, at and
+    # above the stored length; a window series still refuses past its window
+    for s in (
+        HilbertSeries([1, 2, 0, 3], polynomial=True),
+        HilbertSeries([], polynomial=True),
+        HilbertSeries([1, 2, 3], window=5),
+        HilbertSeries([4], window=0),
+        expand_rational((2, 2), (1, 1, 1), 6),
+    ):
+        last = s.window + 3 if s.polynomial else s.window
+        for N in range(-3, last + 1):
+            assert s.coeffs_upto(N) == [s.coeff(d) for d in range(N + 1)], (s, N)
+        if not s.polynomial:
+            with pytest.raises(InsufficientWindowError, match=f"coefficient {s.window + 1} beyond computed window {s.window}"):
+                s.coeffs_upto(s.window + 1)
+
+
+def test_quotient_series_refuses_a_negative_window():
+    # zero- and positive-dimensional, as the rational expansion refuses it
+    for W, D in [((2, 1), (4, 4)), ((1, 1, 1), (2, 2))]:
+        gb = buchberger(random_w_homogeneous_system(W, D, seed=5))
+        for N in (-1, -4):
+            with pytest.raises(ValueError, match="window must be >= 0"):
+                quotient_hilbert_series(gb, N)
+        assert quotient_hilbert_series(gb, 0).coeffs_upto(0) == [1]
+
+
 def test_window_series_compare_on_their_common_window():
     short = HilbertSeries([1, 3, 4], window=2)
     assert short == HilbertSeries([1, 3, 4, 4, 4], window=4)

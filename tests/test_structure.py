@@ -504,6 +504,29 @@ def test_square_report_keeps_the_rows_of_an_unsettled_prefix(monkeypatch):
     _assert_oracle_verdicts(rep, sys)
 
 
+def test_mixed_power_semiregular_builds_only_what_its_counts_read(monkeypatch):
+    # is_semiregular asks for no restricted count: no staircase_census call
+    # in fewer variables, and no degree run below the dense input's, where
+    # the pure powers' census gives every count.  Each pure power is
+    # harvested up front, so no row of the dense input has a multiplier a
+    # pure power divides, not even one x^6 that its own pivot x^2 divides
+    W = (1, 1, 1)
+    sys = froberg_sequence(W, (6, 6, 6), 2)
+    calls = _run_degree_calls(monkeypatch)
+    census = wgb.engine.staircase_census
+    weights = []
+    monkeypatch.setattr(wgb.engine, "staircase_census", lambda gens, ws, N: weights.append(ws) or census(gens, ws, N))
+    kernel = wgb.engine.row_rank_profile
+    rows = []
+    monkeypatch.setattr(wgb.engine, "row_rank_profile", lambda A, p: rows.append((calls[-1][0], len(A))) or kernel(A, p))
+    assert is_semiregular(sys).semiregular
+    assert weights and all(ws == W for ws in weights)
+    assert calls and min(d for d, _ in calls) == 2
+    # the multipliers of degree d - 2 outside the pure powers, one row each
+    outside = census([f.lm for f in sys.polys[:3]], W, 20)
+    assert len(rows) > 3 and all(r == outside[d - 2] for d, r in rows)
+
+
 @st.composite
 def regularity_inputs(draw):
     """W-homogeneous systems with n <= 3, weights 1 to 3, m <= n, at every
