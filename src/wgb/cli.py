@@ -184,6 +184,7 @@ def cmd_fglm(args):
             "staircase_size": stats.degree,
             "field_ops": stats.field_ops,
             "source_staircase": stats.degree,
+            "walk_staircase": stats.walk_staircase,
         },
     )
     _emit(args, data)

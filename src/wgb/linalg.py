@@ -14,6 +14,7 @@ signature matrix (the multiples of single-term inputs) never reach it, as
 the matrix engine reads their pivots off its column table.
 """
 
+import math
 import mmap
 
 import numpy as np
@@ -44,7 +45,7 @@ def zeros(shape, dtype):
     malloc's thresholds and keeps the next ones resident in the heap.  A
     small array is a plain np.zeros: a mapping costs some 30 times as much
     to make."""
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     itemsize = np.dtype(dtype).itemsize
     if count * itemsize < _MAPPED_BYTES:
         return np.zeros(shape, dtype)

@@ -7,6 +7,7 @@ censuses of monomial ideals.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .errors import (
@@ -134,19 +135,15 @@ def expand_rational(degrees, weights, N=None):
 def series_delta(s):
     """First difference: coefficients of (1-T) * S on the same window."""
     N = s.window
-    out = [s.coeff(d) - s.coeff(d - 1) for d in range(N + 1)]
+    c = s.coeffs_upto(N)
+    out = [a - b for a, b in zip(c, [0] + c)]
     return HilbertSeries(out, window=N, polynomial=False)
 
 
 def series_integrate(s):
     """Running sums: coefficients of S / (1-T) on the same window."""
     N = s.window
-    out = []
-    acc = 0
-    for d in range(N + 1):
-        acc += s.coeff(d)
-        out.append(acc)
-    return HilbertSeries(out, window=N, polynomial=False)
+    return HilbertSeries(accumulate(s.coeffs_upto(N)), window=N, polynomial=False)
 
 
 def truncate_semiregular(s):
@@ -157,8 +154,8 @@ def truncate_semiregular(s):
     (the window was too small to locate the truncation point).
     """
     limit = s.degree if s.polynomial else s.window
-    for d in range(limit + 1):
-        if s.coeff(d) <= 0:
+    for d, a in enumerate(s.coeffs_upto(limit)):
+        if a <= 0:
             return HilbertSeries(s.coeffs[:d], polynomial=True)
     if s.polynomial:
         return s
@@ -256,7 +253,7 @@ def validate_ci_shape(s, weights, degrees):
     W = as_weights(weights)
     shape = shape_params(W, degrees)
     delta, sigma, mu = shape.delta, shape.sigma, shape.mu
-    a = [s.coeff(d) for d in range(delta + 1)]
+    a = s.coeffs_upto(delta)
 
     self_rec = all(a[d] == a[delta - d] for d in range(delta + 1))
 

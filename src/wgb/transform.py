@@ -4,7 +4,9 @@ The substitution is an injective graded ring morphism from the weighted
 graded algebra to the standard-graded one; a weighted homogeneous input of
 weighted degree d maps to an ordinary homogeneous polynomial of total
 degree d.  Its partial inverse recovers the preimage whenever every t_i
-exponent is divisible by w_i.
+exponent is divisible by w_i.  Both take any exponent vector in place of
+the weights: X_i -> X_i^(g_i) keeps every weighted degree and the order
+when the preimage weights are the image's times g_i.
 """
 
 from .errors import NotInImageError
@@ -23,33 +25,52 @@ def image_ring(ring):
     return PolyRing(ring.field, WeightSystem.trivial(ring.n), _image_order(ring.order), ring.names)
 
 
-def hom_w(f):
-    """Substitute X_i -> t_i^(w_i); indices are reused for the image variables."""
+def hom_w(f, exps=None, target=None):
+    """Substitute X_i -> X_i^(exps_i) into target.
+
+    By default exps are the weights and target is the trivially weighted
+    image ring; indices are reused for the image variables.
+    """
     ring = f.ring
-    ws = ring.weights
-    target = image_ring(ring)
+    es = ring.weights if exps is None else as_weights(exps)
+    target = image_ring(ring) if target is None else target
     terms = {}
     for e, c in f.terms:
-        image = tuple(a * w for a, w in zip(e, ws))
-        terms[image] = c
+        terms[tuple(a * g for a, g in zip(e, es))] = c
     return target.from_map(terms)
 
 
-def hom_w_inverse(g, weights):
-    """Inverse of hom_w on its image; raises NotInImageError otherwise."""
-    ws = as_weights(weights)
+def _scaled(ws, exps):
+    return WeightSystem(tuple(w * g for w, g in zip(ws.weights, exps.weights)))
+
+
+def hom_w_inverse(g, exps):
+    """Inverse of hom_w on its image; raises NotInImageError otherwise.
+
+    X_i^a -> X_i^(a / exps_i), into the ring whose weights, and those of
+    its order of the same kind and block, are g's times exps: every
+    weighted degree and the order are kept.  On the trivially weighted
+    image ring that is the ring graded by exps.
+    """
+    es = as_weights(exps)
     ring = g.ring
-    source = PolyRing(ring.field, ws, MonomialOrder(ring.order.kind, ws, ring.order.block), ring.names)
+    order = ring.order
+    source = PolyRing(
+        ring.field,
+        _scaled(ring.weights, es),
+        MonomialOrder(order.kind, _scaled(order.weights, es), order.block),
+        ring.names,
+    )
     terms = {}
     for e, c in g.terms:
         pre = []
-        for i, (a, w) in enumerate(zip(e, ws)):
-            if a % w:
+        for i, (a, k) in enumerate(zip(e, es)):
+            if a % k:
                 raise NotInImageError(
                     f"term {dict(zip(ring.names, e))}: exponent {a} of "
-                    f"{ring.names[i]} is not divisible by weight {w}"
+                    f"{ring.names[i]} is not divisible by {k}"
                 )
-            pre.append(a // w)
+            pre.append(a // k)
         terms[tuple(pre)] = c
     return source.from_map(terms)
 

@@ -20,6 +20,7 @@ from wgb import (
     PrimeField,
     buchberger,
     fglm_lex,
+    hom_w,
     ideal_degree,
     multiplication_matrices,
     quotient_hilbert_series,
@@ -185,6 +186,34 @@ def test_fglm_rejects_staircase_beyond_exact_range(monkeypatch):
         fglm_lex(gb)
 
 
+def test_fglm_walks_the_preimage_staircase(monkeypatch):
+    # 2a + 2b + c = 6 makes every exponent of x_3 even, so the walk runs on
+    # the preimage graded by (2, 2, 2): 27 of the 54 staircase monomials
+    monkeypatch.setattr(wgb.fglm, "MAX_STAIRCASE", 30)
+    W = (2, 2, 1)
+    sys = random_w_homogeneous_system(W, (6, 6, 6), seed=1)
+    lex_gb, stats = fglm_lex(buchberger(sys), return_stats=True)
+    assert (stats.degree, stats.walk_staircase) == (54, 27)
+    direct = buchberger(sys.with_order(MonomialOrder.lex(W)))
+    assert lex_gb.ring == direct.ring
+    assert [f.terms for f in lex_gb.polys] == [f.terms for f in direct.polys]
+    # the bound is on the staircase walked: 36 monomials that do not reduce
+    # are still refused
+    gb = buchberger(random_w_homogeneous_system((1, 1, 1), (3, 3, 4), seed=3))
+    with pytest.raises(StaircaseTooLargeError):
+        fglm_lex(gb)
+
+
+def test_fglm_reduces_under_an_elimination_order():
+    W = (2, 2, 1)
+    sys = random_w_homogeneous_system(W, (6, 6, 6), seed=2)
+    gb = buchberger(sys.with_order(MonomialOrder.elimination(W, 1)))
+    lex_gb, stats = fglm_lex(gb, return_stats=True)
+    assert (stats.degree, stats.walk_staircase) == (54, 27)
+    direct = buchberger(sys.with_order(MonomialOrder.lex(W)))
+    assert [f.terms for f in lex_gb.polys] == [f.terms for f in direct.polys]
+
+
 def test_matvec_mod_matches_exact_integers():
     rng = np.random.default_rng(5)
     for p in (2, 65521, 2**31 - 1):
@@ -220,7 +249,9 @@ def fglm_inputs(draw):
     """(system, lex source): n <= 3, weights 1 or 2, degrees 2 to 4 (a
     degree product up to 16), homogeneous or affine, at every test
     modulus.  A quarter of the time one equation is left out, which makes
-    the ideal positive-dimensional."""
+    the ideal positive-dimensional.  Half of the time x_k -> x_k^g, g = 2
+    or 3, is substituted into the system, so that fglm_lex walks its basis
+    on a preimage ring."""
     n = draw(st.integers(1, 3))
     W = tuple(draw(st.sampled_from([1, 2])) for _ in range(n))
     D = tuple(draw(st.integers(2, 4)) for _ in range(n))
@@ -232,6 +263,13 @@ def fglm_inputs(draw):
     p = draw(st.sampled_from([2, 3, 7, 65521, 2**31 - 1]))
     make = random_w_homogeneous_system if homogeneous else random_affine_system
     sys = make(W, D, draw(st.integers(0, 10**6)), field=p)
+    g = draw(st.sampled_from([1, 1, 2, 3]))
+    if g > 1:
+        # the other weights times g keep the system weighted homogeneous
+        k = draw(st.integers(0, n - 1))
+        exps = tuple(g if i == k else 1 for i in range(n))
+        target = PolyRing(sys.ring.field, tuple(w if i == k else g * w for i, w in enumerate(W)))
+        sys = PolySystem(target, [hom_w(f, exps, target) for f in sys.polys])
     return sys, draw(st.booleans())
 
 

@@ -238,6 +238,32 @@ def test_delta_and_integrate():
         assert series_integrate(series_delta(s)).coeffs_upto(window) == coeffs
 
 
+def test_series_readers_match_their_coefficients_and_refuse_past_a_window():
+    # the list readers give what coefficient-wise reads give, on windows
+    # longer than the stored list too
+    rng = random.Random(8)
+    for _ in range(200):
+        coeffs = [rng.randrange(-2, 6) for _ in range(rng.randrange(0, 8))]
+        s = HilbertSeries(coeffs, window=rng.randrange(0, 10), polynomial=rng.random() < 0.3)
+        N = s.window
+        a = [s.coeff(d) for d in range(N + 1)]
+        assert series_delta(s).coeffs == [a[d] - s.coeff(d - 1) for d in range(N + 1)]
+        assert series_integrate(s).coeffs == [sum(a[: d + 1]) for d in range(N + 1)]
+        limit = s.degree if s.polynomial else N
+        cut = next((d for d in range(limit + 1) if s.coeff(d) <= 0), None)
+        if cut is not None:
+            assert truncate_semiregular(s).coeffs == s.coeffs[:cut]
+        elif not s.polynomial:
+            with pytest.raises(InsufficientWindowError):
+                truncate_semiregular(s)
+    # delta = 3 lies past a window of 2, as before
+    s = HilbertSeries([1, 3, 3], window=2)
+    with pytest.raises(InsufficientWindowError, match="coefficient 3 beyond computed window 2"):
+        validate_ci_shape(s, (1, 1, 1), (2, 2, 2))
+    full = HilbertSeries([1, 3, 3, 1], window=3)
+    assert validate_ci_shape(full, (1, 1, 1), (2, 2, 2)).self_reciprocal
+
+
 def test_delta_semiregular_n_plus_1_values():
     # hand expansions, truncated before the first coefficient <= 0:
     # W=(1,1), D=(2,2,2): (1+T)^2 (1-T^2) = 1 + 2T + 0T^2 - ...  -> 1;

@@ -82,3 +82,28 @@ def test_a_monomial_table_miss_goes_through_the_traced_binding():
         wgb.engine._monomial_table.cache_clear()
     assert names.count("engine.prefix_dims") == 1
     assert "monomial.enumerate" in names
+
+
+def test_a_reduced_fglm_records_one_lex_span_and_nests_no_name():
+    # x_3 occurs only as x_3^2, so fglm_lex walks the preimage: through an
+    # inner function, never re-entering the traced fglm_lex binding
+    from wgb import buchberger
+    from wgb.structure import random_w_homogeneous_system
+
+    gb = buchberger(random_w_homogeneous_system((2, 2, 1), (6, 6, 6), seed=1))
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        _, stats = wgb.fglm.fglm_lex(gb, return_stats=True)
+        spans = tracer.take()
+    finally:
+        tracer.restore()
+    assert stats.walk_staircase < stats.degree
+    names = [span[0] for span in spans]
+    assert names.count("fglm.lex") == 1
+    assert names.count("fglm.staircase") == names.count("fglm.mult_matrices") == 1
+    for name, _, _, parent, _ in spans:
+        while parent >= 0:
+            assert spans[parent][0] != name
+            parent = spans[parent][3]
