@@ -228,7 +228,8 @@ def _monomial_table(weights, d):
 
 
 class _MatrixRun:
-    """Shared degree-by-degree signature elimination.
+    """Shared signature elimination, a window of consecutive degrees at a
+    time.
 
     Harvested basis elements are tagged with the input index of the row
     that produced them, so the criterion for index i tests divisibility
@@ -239,23 +240,36 @@ class _MatrixRun:
     single-term input up front, tagged with that input: the monomial lies
     in the ideal of every longer prefix, so a multiplier it divides lies in
     LT(f_1..f_{i-1}) for each later input i.  It never counts the rows of
-    the leading single-term inputs, and keeps no DegreeRecord."""
+    the leading single-term inputs, and keeps no DegreeRecord.
+
+    The degrees of a window interact only through the harvest, so a window
+    builds the rows the degrees would build one at a time as long as no
+    element it harvests at degree e reaches a multiplier of the window:
+    that is, while the window is shorter than the degree of every input
+    after the first one that builds rows (see prefix_ideal_dims).  The
+    matrix engine passes one degree at a time."""
 
     def __init__(self, sys, count_only=False):
-        sys.require_w_homogeneous()
-        if sys.ring.order.kind != WGREVLEX:
-            raise NotWHomogeneousError("matrix engine requires the weighted grevlex order")
         self.ring = sys.ring
         self.p = sys.ring.field.p
         self.ws = sys.ring.weights
         # row scaling changes neither the reduced echelon form nor the rank
         # profile, so the inputs are taken as given
         self.inputs = list(sys.polys)
-        self.degrees = [f.wdeg() for f in self.inputs]  # -1 for a zero input
+        # PolySystem checks a nonzero input's declared degree against it
+        self.degrees = [d if f else -1 for f, d in zip(self.inputs, sys.degrees)]
         self._terms = [
-            (np.array([e for e, _ in f.terms], dtype=np.int64), np.array([c for _, c in f.terms]))
+            (np.array([e for e, _ in f.terms], dtype=np.int64).reshape(-1, self.ring.n),
+             np.array([c for _, c in f.terms]))
             for f in self.inputs
         ]
+        # every term of a W-homogeneous input has its degree
+        w = np.array(self.ws.weights, dtype=np.int64)
+        for i, (exps, _) in enumerate(self._terms):
+            if (exps @ w != self.degrees[i]).any():
+                raise NotWHomogeneousError(f"polynomial #{i + 1} is not weighted homogeneous")
+        if sys.ring.order.kind != WGREVLEX:
+            raise NotWHomogeneousError("matrix engine requires the weighted grevlex order")
         # the leading inputs of at most one term, whose rows are unit rows
         self.units = next((i for i, f in enumerate(self.inputs) if len(f.terms) > 1), len(self.inputs))
         self.count_only = count_only
@@ -264,21 +278,28 @@ class _MatrixRun:
         single = [i for i, f in enumerate(self.inputs) if count_only and len(f.terms) == 1]
         self.lms = np.array([self.inputs[i].lm for i in single], dtype=np.int64).reshape(-1, self.ring.n)
         self.tags = np.array(single, dtype=np.int64)
-        self.prefix_pivots = {}  # degree -> pivots after the rows of inputs 0..i
+        # degree -> pivots after the rows of inputs 0..i, and for a count-only
+        # run those on monomials in x_1..x_{i+1} alone
+        self.prefix_pivots = {}
+        self.restricted_pivots = {}
         self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
         self._paired = 0  # harvested elements counted in lcm_degree
         self.table = partial(_monomial_table, self.ws.weights)
 
-    def run_degree(self, d, n_inputs=None):
-        """Build and reduce the degree-d matrix; returns its DegreeRecord, or
-        for a count-only run the pivot columns and the input producing each,
-        and None when the degree has no row.
+    def run_degree(self, window, n_inputs=None):
+        """Build and reduce the matrices of the degrees in window, a range,
+        as one block-diagonal matrix.  Returns the DegreeRecord of a
+        one-degree window, None for a count-only run or when the window has
+        no row; the pivots after each prefix go to prefix_pivots, and for a
+        count-only run those on monomials in x_1..x_{i+1} to
+        restricted_pivots, per degree.
 
-        Rows u*f_i come in input order, multipliers u increasing; the
-        signature criterion skips the u divisible by the leading term of an
-        element harvested for an earlier input.  Only the rows of the first
-        n_inputs inputs are built when given.  Columns are the degree-d
-        monomials, largest first.
+        Rows come degree after degree, then in input order, multipliers u
+        increasing; the signature criterion skips the u divisible by the
+        leading term of an element harvested for an earlier input before the
+        window.  Only the rows of the first n_inputs inputs are built when
+        given.  Columns are each degree's monomials, largest first; codes on
+        the radix of the window's top degree locate every product.
 
         The rows of the leading inputs of one term are never built: each is
         a unit row, a pivot on its column the first time the column appears
@@ -286,58 +307,83 @@ class _MatrixRun:
         pivot only clears its entry in that column, so the other rows are
         built on the columns those pivots leave free.  A count-only run
         harvests no pivot of the last input it builds: only the criterion
-        of a later input would read it.
+        of a later input would read it.  A pivot of the window that one of
+        a lower degree of the window divides is not harvested.
         """
         lms, tags = self.lms, self.tags
         m = len(self.inputs)
         n_inputs = m if n_inputs is None else n_inputs
-        blocks = []
-        built = np.zeros(m, dtype=np.int64)  # rows per input
+        nd = len(window)
+        tables = [self.table(e) for e in window]
+        col_arr = np.concatenate([t[1] for t in tables])
+        col_deg = np.repeat(np.arange(nd), [len(t[0]) for t in tables])
+        w = np.array(self.ws.weights, dtype=np.int64)
+        built = np.zeros((nd, m), dtype=np.int64)  # rows per degree and input
+        kept = {}  # input -> the multipliers of its rows, degree after degree
         skipped = 0
         for i in range(self.units if self.count_only else 0, n_inputs):
             di = self.degrees[i]
-            if not 0 <= di <= d:
+            if not 0 <= di <= window[-1]:
                 continue
-            mults = self.table(d - di)[1][::-1]
+            mults = np.concatenate([self.table(e - di)[1][::-1] for e in window if e >= di])
             blocked = _divisible(mults, lms[tags < i])
             skipped += int(blocked.sum())
-            mults = mults[~blocked]
-            if len(mults):
-                blocks.append((i, mults))
-                built[i] = len(mults)
+            kept[i] = mults[~blocked]
+            built[:, i] = np.bincount(kept[i] @ w + di - window[0], minlength=nd)
         # the unit pivots, one on each column a leading single-term input's
         # monomial divides
-        first = self._first_divisors(d, n_inputs)
+        first = self._first_divisors(col_arr, n_inputs)
         taken = first < m
         if not built.any() and not taken.any():
             return None
-        cols, col_arr, _, radix, codes = self.table(d)
         unit = np.flatnonzero(taken)
         pivots, producers = [unit], [first[unit]]
-        rest = [(i, mults) for i, mults in blocks if i >= self.units]
-        if rest:
+        rows = built.copy()  # the rows the kernel gets
+        rows[:, : self.units] = 0
+        if rows.any():
             free = np.flatnonzero(~taken)
-            where = np.full(len(cols), -1, dtype=np.int64)
+            where = np.full(len(col_arr), -1, dtype=np.int64)  # the free column of each column
             where[free] = np.arange(len(free))
-            A = zeros((int(built[self.units :].sum()), len(free)), np.int32)
+            radix = tables[-1][3]
+            codes = col_arr @ radix
+            order = np.argsort(codes)
+            codes, where = codes[order], where[order]
+            inputs = np.flatnonzero(rows.any(axis=0))
+            A = zeros((int(rows.sum()), len(free)), np.int32)
             r0 = 0
-            for i, mults in rest:
+            for i in inputs.tolist():
+                exps, coeffs = self._terms[i]
                 # the code of a product is the sum of the codes
-                products = (mults @ radix)[:, None] + (self._terms[i][0] @ radix)[None, :]
-                at = where[np.searchsorted(codes, products)]
-                r, t = np.nonzero(at >= 0)
-                A[r0 + r, at[r, t]] = self._terms[i][1][t]  # entries below p < 2^31
-                r0 += len(mults)
+                products = (kept[i] @ radix)[:, None] + (exps @ radix)[None, :]
+                col = where[np.searchsorted(codes, products)]
+                r, t = np.nonzero(col >= 0)
+                A[r0 + r, col[r, t]] = coeffs[t]  # entries below p < 2^31
+                r0 += len(kept[i])
+            row_input = np.repeat(inputs, rows[:, inputs].sum(axis=0))
+            if nd > 1 and len(inputs) > 1:
+                # the rows were built input after input; the kernel gets them
+                # degree after degree, in input order within a degree
+                order = np.argsort(np.repeat(np.tile(np.arange(nd), len(inputs)), rows[:, inputs].T.ravel()), kind="stable")
+                A, row_input = A[order], row_input[order]
             lead, E = (row_rank_profile(A, self.p), None) if self.count_only else row_echelon(A, self.p)
             independent = lead >= 0
-            row_input = np.repeat([i for i, _ in rest], [len(mults) for _, mults in rest])
             pivots.append(free[lead[independent]])
             producers.append(row_input[independent])
         pivots = np.concatenate(pivots)
         producers = np.concatenate(producers)
-        # the pivots of degree d per prefix
-        new_pivots = np.bincount(producers, minlength=m)
-        self.prefix_pivots[d] = list(accumulate(new_pivots.tolist()))
+        # the pivots of each degree per prefix
+        deg = col_deg[pivots]
+
+        def per_prefix(key, width):
+            tally = np.bincount(deg * width + key, minlength=nd * width).reshape(nd, width)
+            return tally.cumsum(axis=1)[:, :m].tolist()
+
+        self.prefix_pivots.update(zip(window, per_prefix(producers, m)))
+        if self.count_only:
+            # a pivot of input j on a monomial whose last variable is x_v
+            # lies in x_1..x_i for the prefixes i >= max(j, v)
+            last = np.concatenate([t[2] for t in tables])
+            self.restricted_pivots.update(zip(window, per_prefix(np.maximum(producers, last[pivots]), max(m, self.ring.n))))
 
         # a new leading monomial not divisible by an earlier one is harvested;
         # two of one degree never divide each other.  A count-only run has
@@ -347,11 +393,16 @@ class _MatrixRun:
         else:
             fresh = np.arange(len(pivots))
         harvest = fresh[~_divisible(col_arr[pivots[fresh]], lms)] if len(fresh) else fresh
+        if len(window) > 1 and len(harvest):
+            # leave out a pivot that another one, of a lower degree, divides
+            found = col_arr[pivots[harvest]]
+            harvest = harvest[(found[None, :, :] <= found[:, None, :]).all(axis=2).sum(axis=1) == 1]
         if len(harvest):
             self.lms = np.concatenate([lms, col_arr[pivots[harvest]]])
             self.tags = np.concatenate([tags, producers[harvest]])
         if self.count_only:
-            return pivots, producers
+            return None
+        cols = tables[0][0]
         for k in harvest.tolist():
             if k < len(unit):  # a unit pivot is the monomial itself
                 terms = ((cols[pivots[k]], 1),)
@@ -360,22 +411,24 @@ class _MatrixRun:
                 nz = np.flatnonzero(row)
                 terms = tuple(zip([cols[j] for j in free[nz].tolist()], row[nz].tolist()))
             self.basis.append(Polynomial(self.ring, terms))
+        built = built[0]
+        new_pivots = np.bincount(producers, minlength=m)
         nrows = int(built.sum())
         per_input = tuple(new_pivots.tolist()), tuple((built - new_pivots).tolist())
-        return DegreeRecord(d, nrows, skipped, len(cols), len(producers), nrows - len(producers), *per_input)
+        return DegreeRecord(window[0], nrows, skipped, len(cols), len(producers), nrows - len(producers), *per_input)
 
-    def _first_divisors(self, d, n_inputs):
-        """For each degree-d column, the first of the leading single-term
-        inputs among the first n_inputs whose monomial divides it, or the
-        number of inputs when none does.  Their rows are unit rows, and a
-        row the criterion skips lies on a column an earlier one's monomial
-        divides, so the first row on a column, its pivot, is that input's."""
-        monos = self.table(d)[1]
-        first = np.full(len(monos), len(self.inputs))
-        for i in reversed(range(min(n_inputs, self.units))):
-            if 0 <= self.degrees[i] <= d:
-                first[(self._terms[i][0] <= monos).all(axis=1)] = i
-        return first
+    def _first_divisors(self, monos, n_inputs):
+        """For each row of the exponent array monos, the first of the leading
+        single-term inputs among the first n_inputs whose monomial divides
+        it, or the number of inputs when none does.  Their rows are unit
+        rows, and a row the criterion skips lies on a column an earlier
+        one's monomial divides, so the first row on a column, its pivot, is
+        that input's."""
+        inputs = [i for i in range(min(n_inputs, self.units)) if self.degrees[i] >= 0]
+        if not inputs:
+            return np.full(len(monos), len(self.inputs))
+        divides = (np.concatenate([self._terms[i][0] for i in inputs])[:, None, :] <= monos).all(axis=2)
+        return np.where(divides.any(axis=0), np.array(inputs)[divides.argmax(axis=0)], len(self.inputs))
 
     def h(self, e):
         """dim (R/I)_e once the run has passed e: monomials less pivots."""
@@ -448,7 +501,7 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
             raise BudgetExceededError(
                 f"matrix engine exceeded its budget at degree {d}", stats=stats
             )
-        record = run.run_degree(d)
+        record = run.run_degree(range(d, d + 1))
         if record is not None:
             stats.degrees.append(record)
             stats.max_matrix_rows = max(stats.max_matrix_rows, record.rows)
@@ -529,6 +582,23 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
     input has a row and no restricted count is unknown makes no run: every
     longer prefix has their ideal there, whose census is known.  The run
     ends at the first degree where every count asked for is known.
+
+    The loop advances a window of degrees at a time, and the run
+    eliminates a window in one kernel call.  Its degrees interact only
+    through the harvest, and a window ends before any of them could
+    change the rows a degree builds, so it builds exactly the rows of its
+    degrees taken one at a time.  It ends at the first of (a) the last
+    degree before an element harvested in it could reach a row of it: one
+    harvested for f_j at degree e reaches the rows of a later f_i from
+    degree e + max(d_i, 1) on, and only the inputs past the leading
+    single-term ones and before the last one built are harvested; (b) the
+    last degree before an unknown count could be settled, where a lower
+    bound on its quotient is zero across its certificate's width: a
+    prefix's quotient is at least the prefix below's (known, or its own
+    bound) less the rows of its input, and a restricted quotient at least
+    the monomials in x_1..x_i less one row per multiplier in x_1..x_i of
+    each input that does not vanish there; (c) the last degree where
+    f_1..f_j has a count asked for and unknown.
     """
     run = _MatrixRun(sys, count_only=True)
     m, n = len(run.inputs), run.ring.n
@@ -555,10 +625,57 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
         known[0][i - 1] = known[0][i - 2] if same else staircase_census(gens, W, top)
         if i <= short and bounds[1][i - 1] >= 0:
             known[1][i - 1] = staircase_census([g[:i] for g in gens if not any(g[i:])], W[:i], top)
+    # whether f_j(x_1..x_i, 0..0) is nonzero, for the short prefixes i
+    survives = [[bool((exps[:, i:] == 0).all(axis=1).any()) for exps, _ in run._terms[:i]] for i in range(1, short + 1)]
+
+    # the last degree of each count: a dimension is counted as long as a
+    # prefix as long is asked for
+    last = [list(accumulate(up_to_degrees[::-1], max))[::-1], bounds[1]]
+
+    def window_end(d, built):
+        """The last degree of the window that starts at d and builds the
+        rows of f_1..f_built: the first of (a) the last degree before an
+        element harvested in the window could reach one of its rows, (b)
+        the last degree before an unknown count could be settled, (c) the
+        last degree where the prefix f_1..f_built has an unknown count."""
+        # (a) an element harvested for input j at degree e reaches the rows
+        # of a later input i from degree e + max(d_i, 1) on
+        building = [di for di in run.degrees[run.units : built] if di >= 0]
+        end = min(top, d + max(min(building[1:], default=top), 1) - 1)
+        end = min(end, max(last[c][built - 1] for c in (0, 1) if built <= len(known[c]) and known[c][built - 1] is None))
+        # the multipliers of each degree outside the leading single-term
+        # inputs' monomials, at least the rows of a later input
+        outside = known[0][run.units - 1] if run.units else census[0][0]
+        # per unknown count, its trailing zero quotients
+        zeros = {
+            (c, i): next((k for k, q in enumerate(reversed(quotients[c][i])) if q), d)
+            for c in (0, 1) for i, l in enumerate(last[c]) if l >= d and known[c][i] is None
+        }
+        for e in range(d, end):
+            # a lower bound on each unknown quotient at e: a prefix's is the
+            # one below less the rows of its input; in x_1..x_i, the monomials
+            # less a row per multiplier there of each input
+            below = census[0][0][e]
+            for i in range(built):
+                if known[0][i] is not None:
+                    below = known[0][i][e]
+                    continue
+                di = run.degrees[i]
+                below = max(below - (outside[e - di] if 0 <= di <= e else 0), 0)
+                zeros[0, i] = 0 if below else zeros[0, i] + 1
+            for i, l in enumerate(last[1]):
+                if l >= d and known[1][i] is None:
+                    rows = sum(census[1][i][e - dj] for dj, s in zip(run.degrees, survives[i]) if s and dj <= e)
+                    zeros[1, i] = 0 if census[1][i][e] > rows else zeros[1, i] + 1
+            # (b) whether a count could be settled at e + 1
+            if any(z > e or z >= width[c][i] for (c, i), z in zeros.items()):
+                return e
+        return end
+
     none = [0] * m
-    for d in range(top + 1):
-        asked = [i for i, u in enumerate(up_to_degrees) if u >= d]
-        counts = [(0, i) for i in range(asked[-1] + 1)] + [(1, i) for i, r in enumerate(bounds[1]) if r >= d]
+    d = 0
+    while d <= top:
+        counts = [(c, i) for c in (0, 1) for i, l in enumerate(last[c]) if l >= d]
         for c, i in counts:
             # d > 0: the monomial 1 is no multiple of a variable
             if d and known[c][i] is None and not any(quotients[c][i][-min(width[c][i], d) :]):
@@ -572,24 +689,28 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
         if not unknown:
             break
         built = max(i for _, i in unknown) + 1
+        end = window_end(d, built)
+        # the first degree where an input past the leading single-term ones has a row
+        rest = min((di for di in run.degrees[run.units : built] if di >= 0), default=top + 1)
         # an unknown restricted count is one of a prefix past the leading
         # single-term inputs, and reads their pivots
-        restricted = any(c for c, _ in unknown)
-        if not run.units or restricted or any(0 <= di <= d for di in run.degrees[run.units : built]):
-            got = run.run_degree(d, n_inputs=built)
-            pivots = [run.prefix_pivots.get(d, none), none]
-            if got is not None and restricted:
-                # a pivot of input j on a monomial whose last variable is x_v
-                # lies in x_1..x_i for the prefixes i >= max(j, v)
-                at, producers = got
-                tally = np.bincount(np.maximum(producers, run.table(d)[2][at]), minlength=m)
-                pivots[1] = list(accumulate(tally.tolist()))
+        if run.units and not any(c for c, _ in unknown) and d < rest:
+            # every longer prefix has the leading inputs' ideal below rest,
+            # whose census is known
+            window = range(d, min(end, rest - 1) + 1)
+            pivots = [[[census[0][0][e] - known[0][run.units - 1][e]] * m for e in window], [none] * len(window)]
         else:
-            # no input past the leading single-term ones has a row: every
-            # longer prefix has their ideal in degree d
-            pivots = [[census[0][0][d] - known[0][run.units - 1][d]] * m, none]
+            window = range(d, end + 1)
+            run.run_degree(window, n_inputs=built)
+            pivots = [[run.prefix_pivots.get(e, none) for e in window], [run.restricted_pivots.get(e, none) for e in window]]
+        # no count is settled inside a window, and each leaves at its last degree
         for c, i in counts:
-            quotients[c][i].append(census[c][i][d] - pivots[c][i] if known[c][i] is None else known[c][i][d])
+            stop = min(window.stop, last[c][i] + 1)
+            if known[c][i] is not None:
+                quotients[c][i] += known[c][i][d:stop]
+            else:
+                quotients[c][i] += [census[c][i][e] - at[i] for e, at in zip(range(d, stop), pivots[c])]
+        d = window.stop
     # each quotient as counted, then its closed form
     rows = [[[0] * (top + 1)], [[0] * (max(restricted_up_to, default=-1) + 1)]]
     for c in (0, 1):

@@ -9,9 +9,12 @@ above that the operands are split into 16-bit halves (Dumas-Giorgi-Pernet,
 packages", TOMS 2008).
 The elimination follows the recursive row rank profile scheme of
 Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case.
-The kernel looks for no structure in its input: the unit rows of a
-signature matrix (the multiples of single-term inputs) never reach it, as
-the matrix engine reads their pivots off its column table.
+A count-only signature run calls row_rank_profile once per window of
+degrees, on a block-diagonal matrix, and a dense one is eliminated block
+by block.  The kernel looks for no other structure in its input: the
+unit rows of a signature matrix (the multiples of single-term inputs)
+never reach it, as the matrix engine reads their pivots off its column
+table.
 """
 
 import math
@@ -122,8 +125,9 @@ def row_echelon(A, p):
 
 def row_rank_profile(A, p):
     """The lead of row_echelon(A, p), without the reduced form: the steps
-    that only clear entries above the pivots are left out.  A is
-    overwritten."""
+    that only clear entries above the pivots are left out, and the
+    diagonal blocks of a matrix too large or dense for the row loop are
+    eliminated one by one.  A is overwritten."""
     return _eliminate(A, p, False)[0]
 
 
@@ -142,6 +146,14 @@ def _echelon(A, p, reduced):
     m, n = A.shape
     if m <= BASE_ROWS or np.count_nonzero(A) <= SPARSE_ROW_NONZEROS * m:
         return _echelon_rows(A, p, reduced)
+    if not reduced:
+        blocks = _diagonal_blocks(A)
+        if len(blocks) > 1:
+            lead = np.full(m, -1, dtype=np.int64)
+            for r0, r1, c0, c1 in blocks:
+                got = _echelon(A[r0:r1, c0:c1], p, False)[0]
+                lead[r0:r1] = np.where(got >= 0, got + c0, -1)
+            return lead, None
     # echelon the top half, reduce the bottom half by it in one product,
     # echelon the bottom half, then (for the reduced form) clear its pivots
     # from the top half
@@ -167,6 +179,25 @@ def _echelon(A, p, reduced):
         e = min(s + gap, r_b)
         A[r_t + s : r_t + e] = A[h + s : h + e]
     return lead, A[: r_t + r_b]
+
+
+def _diagonal_blocks(A):
+    """(first row, end row, first column, end column) of each diagonal block
+    of A: the rows split before row r when every nonzero entry of the rows
+    above lies left of every nonzero entry of the rows from r on.  A run of
+    zero rows has no column."""
+    m, n = A.shape
+    top, bottom = np.flatnonzero(A[0]), np.flatnonzero(A[-1])
+    if not len(top) or not len(bottom) or top[-1] >= bottom[0]:
+        return [(0, m, 0, n)]  # the first and the last row share a block
+    nonzero = A != 0
+    has = nonzero.any(axis=1)
+    first = np.where(has, nonzero.argmax(axis=1), n)
+    last = np.where(has, n - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+    reach = np.maximum.accumulate(last)
+    start = np.minimum.accumulate(first[::-1])[::-1]
+    cuts = [0] + (np.flatnonzero(reach[:-1] < start[1:]) + 1).tolist() + [m]
+    return [(r0, r1, start[r0], max(reach[r1 - 1] + 1, start[r0])) for r0, r1 in zip(cuts, cuts[1:])]
 
 
 def _echelon_rows(A, p, reduced):

@@ -242,15 +242,14 @@ def is_semiregular(sys, d_max=None):
     one signature run (`prefix_ideal_dims`): the rank of multiplication by
     f_i from degree d is h_{i-1}(d + d_i) - h_i(d + d_i).
     """
-    return _semiregular(_verdict_system(sys), d_max, [0] * sys.m, False)[0]
+    return _semiregular(_verdict_system(sys), d_max, [0] * sys.m, [-1] * sys.m)[0]
 
 
-def _semiregular(sys, d_max, windows, noether):
+def _semiregular(sys, d_max, windows, restricted_windows):
     """The verdict of `is_semiregular`, the prefix Hilbert functions
     [h_0, .., h_m] it is read from, each h_i (i >= 1) read up to
-    windows[i-1] at least, and, for Noether position when noether is set,
-    the restricted ideal dimensions of the same run, each as far as its
-    h_i (none otherwise)."""
+    windows[i-1] at least, and the restricted ideal dimensions of the same
+    run, r_i up to restricted_windows[i-1] <= windows[i-1] (-1 for none)."""
     W = sys.ring.weights
     D = sys.degrees
     m, n = sys.m, sys.n
@@ -266,7 +265,7 @@ def _semiregular(sys, d_max, windows, noether):
     # h_i is read up to d_max + d_i (multiplication by f_i) and, as the
     # domain side, up to d_max + d_{i+1}
     bounds = [max(d_max + max(D[i - 1 : i + 1]), 0, windows[i - 1]) for i in range(1, m + 1)]
-    h, restricted = _hilbert_functions(sys, bounds, bounds if noether else [-1] * m)
+    h, restricted = _hilbert_functions(sys, bounds, restricted_windows)
 
     first_failure = None
     for i in range(1, m + 1):
@@ -464,10 +463,12 @@ def structure_report(sys, d_max=None):
     m, n = sys.m, sys.n
     # every h_i is read up to the regularity window, which builds no extra
     # row (the rows of every input are built that far for h_m anyway), and
-    # up to the window of its prefix's Noether position
+    # up to the window of its prefix's Noether position, the one degree its
+    # restricted count is read to
     window = default_window(W, D) if m <= n else 0
-    windows = [max(window, _extended(sys, i)[1]) if m <= n else 0 for i in range(1, m + 1)]
-    semi, h, restricted = _semiregular(sys, d_max, windows, m <= n)
+    noether = [_extended(sys, i)[1] if m <= n else -1 for i in range(1, m + 1)]
+    windows = [max(window, u) for u in noether]
+    semi, h, restricted = _semiregular(sys, d_max, windows, noether)
     regular = _regularity_verdict(W, D, window, h[m]) if m <= n else None
     snp = _snp(sys, restricted) if m <= n else None
     return StructureReport(

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from spolynomial_oracle import spolynomial_audit
 
@@ -113,6 +113,22 @@ def test_matrix_engine_rejects_affine():
     x, y = R.gens()
     with pytest.raises(NotWHomogeneousError):
         matrix_gb_whomog(PolySystem(R, [x + y]))
+
+
+def test_matrix_run_names_the_inhomogeneous_input():
+    # the first input with a term off its degree is named, a zero input
+    # before it counted, by both engines on the matrix run
+    R = ring((2, 1))
+    x, y = R.gens()
+    sys = PolySystem(R, [x * y, R.zero(), x**2 + y**3 + y, x + y])
+    message = r"^polynomial #3 is not weighted homogeneous$"
+    with pytest.raises(NotWHomogeneousError, match=message):
+        matrix_gb_whomog(sys)
+    with pytest.raises(NotWHomogeneousError, match=message):
+        prefix_ideal_dims(sys, [4] * 4, [-1] * 4)
+    # and before the order is looked at
+    with pytest.raises(NotWHomogeneousError, match=message):
+        matrix_gb_whomog(sys.with_order(MonomialOrder.lex((2, 1))))
 
 
 def test_matrix_matches_buchberger():
@@ -797,17 +813,25 @@ def test_prefix_ideal_dims_match_the_definition(monkeypatch):
     calls, products = [], []
     real = engine._MatrixRun.run_degree
 
-    def recorded(run, d, n_inputs=None):
-        calls.append((d, n_inputs))
-        return real(run, d, n_inputs)
+    def recorded(run, window, n_inputs=None):
+        calls.extend((d, n_inputs) for d in window)
+        return real(run, window, n_inputs)
 
     monkeypatch.setattr(engine._MatrixRun, "run_degree", recorded)
     product_form = engine.expand_rational
     monkeypatch.setattr(engine, "expand_rational", lambda *a: products.append(a) or product_form(*a))
     reached = []
+    # (r) holds at degree 5; prefix 2 then keeps only its restricted count
+    # unknown, which is settled at degree 6
+    R = ring((1, 2, 2), 7)
+    X1, X2, X3 = R.gens()
+    f1 = 6 * X1**2 + 2 * X2 + 5 * X3
+    f2 = 2 * X1**4 + 3 * X1**2 * X2 + 5 * X2**2 + 6 * X1**2 * X3 + 6 * X2 * X3 + 5 * X3**2
+    restricted_settles = (PolySystem(R, [f1, f2, 4 * X1, 3 * X1]), [6, 11, 2, 5])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_prefix_dims_cases())
+    @example(restricted_settles)
     def check(case):
         sys, bounds = case
         calls.clear()
@@ -871,6 +895,88 @@ def test_prefix_ideal_dims_restricted_counts_only_when_asked(case, seed):
     assert dims == got[0] == [want_dims[0]] + [row[: u + 1] for row, u in zip(want_dims[1:], bounds)]
     assert none == [[]] * (sys.m + 1)
     assert got[1] == [[0] * (max(asked) + 1)] + [row[: r + 1] for row, r in zip(want_restricted[1:], asked)]
+
+
+def _degree_by_degree_rows(run, window, n_inputs):
+    """How many rows the kernel gets for the degrees of a window when they
+    are built one at a time, and the harvest after them: each degree's rows
+    u*f_i skip the u a leading monomial harvested for an earlier input
+    divides, and its pivots of the inputs past the leading single-term ones
+    and before the last one built that no harvested monomial divides are
+    harvested for the next degree.  Every matrix is built and eliminated
+    whole, unit rows included."""
+    import numpy as np
+    from elimination_oracle import eliminate_rows
+
+    from wgb.monomial import mono_divides, mono_mul
+
+    harvest = list(zip(map(tuple, run.lms.tolist()), run.tags.tolist()))
+    count = 0
+    for d in window:
+        monos = run.table(d)[0]
+        cols = {c: j for j, c in enumerate(monos)}
+        rows, owner = [], []
+        for i, f in enumerate(run.inputs[:n_inputs]):
+            if not f or f.wdeg() > d:
+                continue
+            for u in sorted(monomials_of_wdeg(run.ws.weights, d - f.wdeg()), key=run.ring.order.key):
+                if not any(t < i and mono_divides(lm, u) for lm, t in harvest):
+                    row = [0] * len(cols)
+                    for e, c in f.terms:
+                        row[cols[mono_mul(u, e)]] = c
+                    rows.append(row)
+                    owner.append(i)
+        count += sum(i >= run.units for i in owner)
+        lead = eliminate_rows(np.array(rows, dtype=np.int64), run.p)[0] if rows else []
+        fresh = [(monos[j], i) for j, i in zip(lead, owner) if j >= 0 and run.units <= i < n_inputs - 1]
+        harvest += [(lm, i) for lm, i in fresh if not any(mono_divides(g, lm) for g, _ in harvest)]
+    return count, sorted(harvest)
+
+
+def test_prefix_ideal_dims_windows_match_the_definition(monkeypatch):
+    # a run eliminates a window of degrees in one kernel call, on exactly
+    # the rows the degrees would give it one at a time; with and without
+    # restricted counts asked, the counts are the definition's
+    from prefix_dims_oracle import prefix_dims_by_rank
+
+    import wgb.engine as engine
+
+    windows, kernel = [], []
+    real = engine._MatrixRun.run_degree
+
+    def recorded(run, window, n_inputs=None):
+        # the inputs past the leading single-term ones with a row in reach
+        building = [i for i in range(run.units, n_inputs) if 0 <= run.degrees[i] <= window[-1]]
+        windows.append((len(window), len(building)))
+        rows, harvest = _degree_by_degree_rows(run, window, n_inputs)
+        kernel.clear()
+        got = real(run, window, n_inputs)
+        assert sum(kernel) == rows, (window, n_inputs)
+        assert sorted(zip(map(tuple, run.lms.tolist()), run.tags.tolist())) == harvest, (window, n_inputs)
+        return got
+
+    monkeypatch.setattr(engine._MatrixRun, "run_degree", recorded)
+    rank_profile = engine.row_rank_profile
+    monkeypatch.setattr(engine, "row_rank_profile", lambda A, p: kernel.append(len(A)) or rank_profile(A, p))
+    examples = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_prefix_dims_cases())
+    def check(case):
+        sys, bounds = case
+        dims, restricted = prefix_dims_by_rank(sys, [max(bounds)] * sys.m)
+        want = [dims[0]] + [row[: u + 1] for row, u in zip(dims[1:], bounds)]
+        windows.clear()
+        assert prefix_ideal_dims(sys, bounds, [-1] * sys.m) == [want, [[]] * (sys.m + 1)]
+        assert prefix_ideal_dims(sys, bounds, bounds) == [
+            want, [restricted[0]] + [row[: u + 1] for row, u in zip(restricted[1:], bounds)]
+        ]
+        examples.append(list(windows))
+
+    check()
+    assert len(examples) >= 200
+    assert sum(any(k >= 2 for k, _ in w) for w in examples) >= len(examples) / 3
+    assert any(k >= 2 and b >= 2 for w in examples for k, b in w)
 
 
 def test_prefix_ideal_dims_refuses_mismatched_bounds():

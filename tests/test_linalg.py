@@ -214,6 +214,35 @@ def test_leading_unit_rows_match_oracle(p):
             _assert_kernel_matches_oracle(A.astype(np.int32), p)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_block_diagonal_matrices_match_oracle(p, monkeypatch):
+    # a count-only run stacks the matrices of a window of degrees on the
+    # diagonal; row_rank_profile eliminates each diagonal block on its own
+    import wgb.linalg as linalg
+
+    rng = np.random.default_rng(p % 997)
+    split = []
+    real = linalg._diagonal_blocks
+    monkeypatch.setattr(linalg, "_diagonal_blocks", lambda A: split.append(len(real(A))) or real(A))
+    for shapes in ([(20, 30), (25, 10), (12, 40)], [(30, 30), (1, 5), (30, 30)], [(40, 20), (40, 20)]):
+        blocks = [rng.integers(0, p, size=s, dtype=np.int64) for s in shapes]
+        A = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=np.int64)
+        r = c = 0
+        for B in blocks:
+            B[rng.random(len(B)) < 0.2] = 0  # zero rows inside a block
+            B[0, 0] = B[-1, -1] = 1  # a block spans its rows and columns
+            A[r : r + len(B), c : c + B.shape[1]] = B
+            r, c = r + len(B), c + B.shape[1]
+        for M in (A, A.astype(np.int32)):
+            split.clear()
+            _assert_kernel_matches_oracle(M, p)
+            assert len(shapes) in split  # row_rank_profile took the blocks apart
+        # a row across two blocks joins them
+        joined = A.copy()
+        joined[shapes[0][0] - 1, -1] = 1
+        _assert_kernel_matches_oracle(joined, p)
+
+
 def _signature_matrix(run, d, n_inputs):
     """The whole degree-d signature matrix of a run, in its state before
     the degree, every row built in Python: rows u*f_i in input order,
@@ -252,17 +281,26 @@ def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
     state = {}
     real_degree = engine._MatrixRun.run_degree
 
-    def run_degree(run, d, n_inputs=None):
-        state["full"], state["owner"] = _signature_matrix(run, d, n_inputs)
+    def run_degree(run, window, n_inputs=None):
+        # a window's matrix is the oracle's per-degree blocks stacked on
+        # the diagonal, each from the run's state before the window
+        blocks = [_signature_matrix(run, d, n_inputs) for d in window]
+        full = np.zeros((sum(len(b) for b, _ in blocks), sum(b.shape[1] for b, _ in blocks)), dtype=np.int64)
+        r = c = 0
+        for b, _ in blocks:
+            full[r : r + len(b), c : c + b.shape[1]] = b
+            r, c = r + len(b), c + b.shape[1]
+        state["full"], state["owner"] = full, np.concatenate([owner for _, owner in blocks])
         state["kernel"] = None
-        got = real_degree(run, d, n_inputs)
-        full, owner = state["full"], state["owner"]
-        if len(full):
-            # the pivots per input, read-off unit rows included, are the oracle's
-            lead = np.array(eliminate_rows(full, run.p)[0])
-            input_pivots = np.diff([0] + run.prefix_pivots[d]).tolist()
-            assert input_pivots == np.bincount(owner[lead >= 0], minlength=len(run.inputs)).tolist()
-            seen.append((len(full), int((owner < units).sum()), state["kernel"]))
+        got = real_degree(run, window, n_inputs)
+        for d, (full, owner) in zip(window, blocks):
+            if len(full):
+                # the pivots per input, read-off unit rows included, are the oracle's
+                lead = np.array(eliminate_rows(full, run.p)[0])
+                input_pivots = np.diff([0] + run.prefix_pivots[d]).tolist()
+                assert input_pivots == np.bincount(owner[lead >= 0], minlength=len(run.inputs)).tolist()
+        if len(state["full"]):
+            seen.append((len(state["full"]), int((state["owner"] < units).sum()), state["kernel"]))
         return got
 
     def kernel(A, p):
@@ -276,7 +314,7 @@ def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
         state["kernel"] = len(A)
         return lead
 
-    seen = []  # (rows, unit rows, rows the kernel got) of each degree
+    seen = []  # (rows, unit rows, rows the kernel got) of each window
     monkeypatch.setattr(engine._MatrixRun, "run_degree", run_degree)
     monkeypatch.setattr(engine, "row_rank_profile", kernel)
     prefix_ideal_dims(sys, [10] * 4, [10] * 4)

@@ -448,14 +448,18 @@ def test_structure_report_shares_one_run():
         assert rep.as_dict() == separate.as_dict()
 
 
-def _run_degree_calls(monkeypatch):
-    """The (degree, n_inputs) of every _MatrixRun.run_degree call, as made."""
+def _run_degree_calls(monkeypatch, windows=None):
+    """The (degree, n_inputs) of every degree _MatrixRun.run_degree builds,
+    a window as one per degree, in order; each window also goes to windows
+    when given."""
     calls = []
     real = wgb.engine._MatrixRun.run_degree
 
-    def recorded(run, d, n_inputs=None):
-        calls.append((d, n_inputs))
-        return real(run, d, n_inputs)
+    def recorded(run, window, n_inputs=None):
+        calls.extend((d, n_inputs) for d in window)
+        if windows is not None:
+            windows.append(window)
+        return real(run, window, n_inputs)
 
     monkeypatch.setattr(wgb.engine._MatrixRun, "run_degree", recorded)
     return calls
@@ -495,10 +499,11 @@ def test_square_report_keeps_the_rows_of_an_unsettled_prefix(monkeypatch):
     sys = PolySystem(R, [X2 * q, f2, f3])
     calls = _run_degree_calls(monkeypatch)
     rep = structure_report(sys)
-    # the series (1 + T + T^2)^3 is zero from degree 7, read after degree 7
+    # the series (1 + T + T^2)^3 is zero from degree 7, read after degree 7;
+    # prefix 1's restricted count is read up to its Noether window, 7 too,
+    # so no row of f_1 alone is built past it
     assert [d for d, n in calls if n == 3] == list(range(8))
-    # then f_1's alone, up to prefix 1's bound (its semi-regularity window)
-    assert [(d, n) for d, n in calls if d > 7] == [(8, 1), (9, 1), (10, 1)]
+    assert [(d, n) for d, n in calls if d > 7] == []
     assert rep.semiregular.window + 3 == 10
     assert rep.regular and not rep.snp and rep.snp.first_failing_prefix == 1
     _assert_oracle_verdicts(rep, sys)
@@ -512,19 +517,32 @@ def test_mixed_power_semiregular_builds_only_what_its_counts_read(monkeypatch):
     # pure power divides, not even one x^6 that its own pivot x^2 divides
     W = (1, 1, 1)
     sys = froberg_sequence(W, (6, 6, 6), 2)
-    calls = _run_degree_calls(monkeypatch)
+    windows = []
+    calls = _run_degree_calls(monkeypatch, windows)
     census = wgb.engine.staircase_census
     weights = []
     monkeypatch.setattr(wgb.engine, "staircase_census", lambda gens, ws, N: weights.append(ws) or census(gens, ws, N))
     kernel = wgb.engine.row_rank_profile
     rows = []
-    monkeypatch.setattr(wgb.engine, "row_rank_profile", lambda A, p: rows.append((calls[-1][0], len(A))) or kernel(A, p))
+    monkeypatch.setattr(wgb.engine, "row_rank_profile", lambda A, p: rows.append((windows[-1], len(A))) or kernel(A, p))
     assert is_semiregular(sys).semiregular
     assert weights and all(ws == W for ws in weights)
     assert calls and min(d for d, _ in calls) == 2
     # the multipliers of degree d - 2 outside the pure powers, one row each
+    # per degree of a window
     outside = census([f.lm for f in sys.polys[:3]], W, 20)
-    assert len(rows) > 3 and all(r == outside[d - 2] for d, r in rows)
+    assert sum(map(len, (w for w, _ in rows))) > 3 and all(r == sum(outside[d - 2] for d in w) for w, r in rows)
+
+
+def test_mixed_power_semiregular_eliminates_one_window(monkeypatch):
+    # one input builds rows, so no harvest reaches a row and the run
+    # eliminates every degree it needs, 2 to 9, in one block-diagonal matrix
+    sys = froberg_sequence((1, 1, 1), (6, 6, 6), 2)
+    kernel = wgb.engine.row_rank_profile
+    shapes = []
+    monkeypatch.setattr(wgb.engine, "row_rank_profile", lambda A, p: shapes.append(A.shape) or kernel(A, p))
+    assert is_semiregular(sys).semiregular
+    assert shapes == [(108, 156)]
 
 
 @st.composite
