@@ -597,8 +597,8 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
     prefix's quotient is at least the prefix below's (known, or its own
     bound) less the rows of its input, and a restricted quotient at least
     the monomials in x_1..x_i less one row per multiplier in x_1..x_i of
-    each input that does not vanish there; (c) the last degree where
-    f_1..f_j has a count asked for and unknown.
+    each nonzero input; (c) the last degree where f_1..f_j has a count
+    asked for and unknown.
     """
     run = _MatrixRun(sys, count_only=True)
     m, n = len(run.inputs), run.ring.n
@@ -625,8 +625,6 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
         known[0][i - 1] = known[0][i - 2] if same else staircase_census(gens, W, top)
         if i <= short and bounds[1][i - 1] >= 0:
             known[1][i - 1] = staircase_census([g[:i] for g in gens if not any(g[i:])], W[:i], top)
-    # whether f_j(x_1..x_i, 0..0) is nonzero, for the short prefixes i
-    survives = [[bool((exps[:, i:] == 0).all(axis=1).any()) for exps, _ in run._terms[:i]] for i in range(1, short + 1)]
 
     # the last degree of each count: a dimension is counted as long as a
     # prefix as long is asked for
@@ -642,7 +640,9 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
         # of a later input i from degree e + max(d_i, 1) on
         building = [di for di in run.degrees[run.units : built] if di >= 0]
         end = min(top, d + max(min(building[1:], default=top), 1) - 1)
-        end = min(end, max(last[c][built - 1] for c in (0, 1) if built <= len(known[c]) and known[c][built - 1] is None))
+        # (c) f_1..f_built has its dimension, or else its restricted count,
+        # unknown, and the dimension is counted at least as far
+        end = min(end, last[0][built - 1] if known[0][built - 1] is None else last[1][built - 1])
         # the multipliers of each degree outside the leading single-term
         # inputs' monomials, at least the rows of a later input
         outside = known[0][run.units - 1] if run.units else census[0][0]
@@ -654,7 +654,7 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
         for e in range(d, end):
             # a lower bound on each unknown quotient at e: a prefix's is the
             # one below less the rows of its input; in x_1..x_i, the monomials
-            # less a row per multiplier there of each input
+            # less a row per multiplier there of each nonzero input
             below = census[0][0][e]
             for i in range(built):
                 if known[0][i] is not None:
@@ -665,7 +665,7 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
                 zeros[0, i] = 0 if below else zeros[0, i] + 1
             for i, l in enumerate(last[1]):
                 if l >= d and known[1][i] is None:
-                    rows = sum(census[1][i][e - dj] for dj, s in zip(run.degrees, survives[i]) if s and dj <= e)
+                    rows = sum(census[1][i][e - dj] for dj in run.degrees[: i + 1] if 0 <= dj <= e)
                     zeros[1, i] = 0 if census[1][i][e] > rows else zeros[1, i] + 1
             # (b) whether a count could be settled at e + 1
             if any(z > e or z >= width[c][i] for (c, i), z in zeros.items()):
@@ -709,7 +709,7 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
             if known[c][i] is not None:
                 quotients[c][i] += known[c][i][d:stop]
             else:
-                quotients[c][i] += [census[c][i][e] - at[i] for e, at in zip(range(d, stop), pivots[c])]
+                quotients[c][i] += [census[c][i][e] - got[i] for e, got in zip(range(d, stop), pivots[c])]
         d = window.stop
     # each quotient as counted, then its closed form
     rows = [[[0] * (top + 1)], [[0] * (max(restricted_up_to, default=-1) + 1)]]
