@@ -364,7 +364,7 @@ class _MatrixRun:
                 # the rows were built input after input; the kernel gets them
                 # degree after degree, in input order within a degree
                 order = np.argsort(np.repeat(np.tile(np.arange(nd), len(inputs)), rows[:, inputs].T.ravel()), kind="stable")
-                A, row_input = A[order], row_input[order]
+                A, row_input = np.take(A, order, axis=0, out=zeros(A.shape, np.int32)), row_input[order]
             lead, E = (row_rank_profile(A, self.p), None) if self.count_only else row_echelon(A, self.p)
             independent = lead >= 0
             pivots.append(free[lead[independent]])
