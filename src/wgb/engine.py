@@ -393,7 +393,7 @@ class _MatrixRun:
         else:
             fresh = np.arange(len(pivots))
         harvest = fresh[~_divisible(col_arr[pivots[fresh]], lms)] if len(fresh) else fresh
-        if len(window) > 1 and len(harvest):
+        if nd > 1 and len(harvest):
             # leave out a pivot that another one, of a lower degree, divides
             found = col_arr[pivots[harvest]]
             harvest = harvest[(found[None, :, :] <= found[:, None, :]).all(axis=2).sum(axis=1) == 1]
