@@ -463,7 +463,7 @@ def structure_report(sys, d_max=None):
     m, n = sys.m, sys.n
     # every h_i is read up to the regularity window, which builds no extra
     # row (the rows of every input are built that far for h_m anyway), and
-    # up to the window of its prefix's Noether position, the one degree its
+    # up to the window of its prefix's Noether position, the last degree its
     # restricted count is read to
     window = default_window(W, D) if m <= n else 0
     noether = [_extended(sys, i)[1] if m <= n else -1 for i in range(1, m + 1)]
