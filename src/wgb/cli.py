@@ -183,7 +183,6 @@ def cmd_fglm(args):
         extra={
             "staircase_size": stats.degree,
             "field_ops": stats.field_ops,
-            "source_staircase": stats.degree,
             "walk_staircase": stats.walk_staircase,
         },
     )

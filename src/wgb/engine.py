@@ -206,8 +206,8 @@ MONOMIAL_TABLES = 1024
 def _monomial_table(weights, d):
     """Monomials of weighted degree d, largest first, as tuples, as an
     exponent array and as the index of their last variable (0 for the
-    monomial 1), with the radix of the degree's column codes and the code
-    of each monomial; the arrays are read-only, as the memo shares them."""
+    monomial 1), with the radix that codes every monomial of degree d and
+    below; the arrays are read-only, as the memo shares them."""
     # on one weighted degree, weighted grevlex is the reverse of lex on the
     # reversed exponents
     n = len(weights)
@@ -221,10 +221,9 @@ def _monomial_table(weights, d):
         radix.append(size)
         size *= d // w + 1
     radix = np.array(radix, dtype=np.int64 if size < 2**63 else object)
-    codes = arr @ radix
-    for a in (arr, last, radix, codes):
+    for a in (arr, last, radix):
         a.flags.writeable = False
-    return monos, arr, last, radix, codes
+    return monos, arr, last, radix
 
 
 class _MatrixRun:
@@ -239,15 +238,17 @@ class _MatrixRun:
     kernel for the rank profile alone.  It harvests the monomial of every
     single-term input up front, tagged with that input: the monomial lies
     in the ideal of every longer prefix, so a multiplier it divides lies in
-    LT(f_1..f_{i-1}) for each later input i.  It never counts the rows of
-    the leading single-term inputs, and keeps no DegreeRecord.
+    LT(f_1..f_{i-1}) for each later input i.  It never builds the rows of
+    the leading single-term inputs, reads their pivots off the columns
+    their monomials divide, and keeps no DegreeRecord.
 
     The degrees of a window interact only through the harvest, so a window
     builds the rows the degrees would build one at a time as long as no
     element it harvests at degree e reaches a multiplier of the window:
     that is, while the window is shorter than the degree of every input
-    after the first one that builds rows (see prefix_ideal_dims).  The
-    matrix engine passes one degree at a time."""
+    after the first one that builds rows (see prefix_ideal_dims).  A
+    degree below every input that builds rows has the unit pivots alone.
+    The matrix engine passes one degree at a time."""
 
     def __init__(self, sys, count_only=False):
         self.ring = sys.ring
@@ -264,9 +265,9 @@ class _MatrixRun:
             for f in self.inputs
         ]
         # every term of a W-homogeneous input has its degree
-        w = np.array(self.ws.weights, dtype=np.int64)
+        self.w = np.array(self.ws.weights, dtype=np.int64)
         for i, (exps, _) in enumerate(self._terms):
-            if (exps @ w != self.degrees[i]).any():
+            if (exps @ self.w != self.degrees[i]).any():
                 raise NotWHomogeneousError(f"polynomial #{i + 1} is not weighted homogeneous")
         if sys.ring.order.kind != WGREVLEX:
             raise NotWHomogeneousError("matrix engine requires the weighted grevlex order")
@@ -286,38 +287,37 @@ class _MatrixRun:
         self._paired = 0  # harvested elements counted in lcm_degree
         self.table = partial(_monomial_table, self.ws.weights)
 
-    def run_degree(self, window, n_inputs=None):
+    def run_degree(self, window, n_inputs):
         """Build and reduce the matrices of the degrees in window, a range,
-        as one block-diagonal matrix.  Returns the DegreeRecord of a
-        one-degree window, None for a count-only run or when the window has
-        no row; the pivots after each prefix go to prefix_pivots, and for a
-        count-only run those on monomials in x_1..x_{i+1} to
-        restricted_pivots, per degree.
+        from the rows of the first n_inputs inputs, as one block-diagonal
+        matrix.  Returns the DegreeRecord of a one-degree window, None for a
+        count-only run or when the window has no row; the pivots after each
+        prefix go to prefix_pivots, and for a count-only run those on
+        monomials in x_1..x_{i+1} to restricted_pivots, per degree.
 
         Rows come degree after degree, then in input order, multipliers u
-        increasing; the signature criterion skips the u divisible by the
-        leading term of an element harvested for an earlier input before the
-        window.  Only the rows of the first n_inputs inputs are built when
-        given.  Columns are each degree's monomials, largest first; codes on
-        the radix of the window's top degree locate every product.
+        increasing, each written at its place as it is built; the signature
+        criterion skips the u divisible by the leading term of an element
+        harvested for an earlier input before the window.  Columns are each
+        degree's monomials, largest first; codes on the radix of the
+        window's top degree locate every product.
 
         The rows of the leading inputs of one term are never built: each is
         a unit row, a pivot on its column the first time the column appears
         and a reduction to zero after that.  Reducing a later row by a unit
         pivot only clears its entry in that column, so the other rows are
-        built on the columns those pivots leave free.  A count-only run
-        harvests no pivot of the last input it builds: only the criterion
-        of a later input would read it.  A pivot of the window that one of
+        built on the columns those pivots leave free, of the degrees that
+        have such a row; a degree without one has the unit pivots alone.  A
+        count-only run harvests no pivot of the last input it builds: only
+        the criterion of a later input would read it.  A pivot of the window that one of
         a lower degree of the window divides is not harvested.
         """
         lms, tags = self.lms, self.tags
         m = len(self.inputs)
-        n_inputs = m if n_inputs is None else n_inputs
         nd = len(window)
         tables = [self.table(e) for e in window]
         col_arr = np.concatenate([t[1] for t in tables])
         col_deg = np.repeat(np.arange(nd), [len(t[0]) for t in tables])
-        w = np.array(self.ws.weights, dtype=np.int64)
         built = np.zeros((nd, m), dtype=np.int64)  # rows per degree and input
         kept = {}  # input -> the multipliers of its rows, degree after degree
         skipped = 0
@@ -329,7 +329,7 @@ class _MatrixRun:
             blocked = _divisible(mults, lms[tags < i])
             skipped += int(blocked.sum())
             kept[i] = mults[~blocked]
-            built[:, i] = np.bincount(kept[i] @ w + di - window[0], minlength=nd)
+            built[:, i] = np.bincount(kept[i] @ self.w + di - window[0], minlength=nd)
         # the unit pivots, one on each column a leading single-term input's
         # monomial divides
         first = self._first_divisors(col_arr, n_inputs)
@@ -341,30 +341,26 @@ class _MatrixRun:
         rows = built.copy()  # the rows the kernel gets
         rows[:, : self.units] = 0
         if rows.any():
-            free = np.flatnonzero(~taken)
+            free = np.flatnonzero(~taken & rows.any(axis=1)[col_deg])
             where = np.full(len(col_arr), -1, dtype=np.int64)  # the free column of each column
             where[free] = np.arange(len(free))
             radix = tables[-1][3]
             codes = col_arr @ radix
             order = np.argsort(codes)
             codes, where = codes[order], where[order]
-            inputs = np.flatnonzero(rows.any(axis=0))
+            # a row's place less its rank among its input's rows: rows go
+            # degree after degree, in input order within a degree
+            shift = (rows.cumsum() - rows.ravel()).reshape(nd, m) - (rows.cumsum(axis=0) - rows)
             A = zeros((int(rows.sum()), len(free)), np.int32)
-            r0 = 0
-            for i in inputs.tolist():
+            for i in np.flatnonzero(rows.any(axis=0)).tolist():
                 exps, coeffs = self._terms[i]
                 # the code of a product is the sum of the codes
                 products = (kept[i] @ radix)[:, None] + (exps @ radix)[None, :]
                 col = where[np.searchsorted(codes, products)]
+                at = np.repeat(shift[:, i], rows[:, i]) + np.arange(len(kept[i]))
                 r, t = np.nonzero(col >= 0)
-                A[r0 + r, col[r, t]] = coeffs[t]  # entries below p < 2^31
-                r0 += len(kept[i])
-            row_input = np.repeat(inputs, rows[:, inputs].sum(axis=0))
-            if nd > 1 and len(inputs) > 1:
-                # the rows were built input after input; the kernel gets them
-                # degree after degree, in input order within a degree
-                order = np.argsort(np.repeat(np.tile(np.arange(nd), len(inputs)), rows[:, inputs].T.ravel()), kind="stable")
-                A, row_input = np.take(A, order, axis=0, out=zeros(A.shape, np.int32)), row_input[order]
+                A[at[r], col[r, t]] = coeffs[t]  # entries below p < 2^31
+            row_input = np.repeat(np.tile(np.arange(m), nd), rows.ravel())
             lead, E = (row_rank_profile(A, self.p), None) if self.count_only else row_echelon(A, self.p)
             independent = lead >= 0
             pivots.append(free[lead[independent]])
@@ -442,11 +438,10 @@ class _MatrixRun:
             return False
         # fold the elements harvested since the last call into lcm_degree
         lms = self.lms
-        w = np.array(self.ws.weights, dtype=np.int64)
         for j in range(self._paired, len(lms)):
             shared = lms[:j][(lms[:j, lms[j] > 0] > 0).any(axis=1)]
             if len(shared):
-                self.lcm_degree = max(self.lcm_degree, int((np.maximum(shared, lms[j]) @ w).max()))
+                self.lcm_degree = max(self.lcm_degree, int((np.maximum(shared, lms[j]) @ self.w).max()))
         self._paired = len(lms)
         return self.lcm_degree <= d
 
@@ -501,7 +496,7 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
             raise BudgetExceededError(
                 f"matrix engine exceeded its budget at degree {d}", stats=stats
             )
-        record = run.run_degree(range(d, d + 1))
+        record = run.run_degree(range(d, d + 1), len(run.inputs))
         if record is not None:
             stats.degrees.append(record)
             stats.max_matrix_rows = max(stats.max_matrix_rows, record.rows)
@@ -578,27 +573,27 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
     Each degree builds the rows of f_1..f_j alone, j the longest prefix
     whose dimension is not known (asked for at this degree or below the
     longest one that is) or whose restricted count is not known and asked
-    for.  When the leading inputs have one term, a degree where no later
-    input has a row and no restricted count is unknown makes no run: every
-    longer prefix has their ideal there, whose census is known.  The run
-    ends at the first degree where every count asked for is known.
+    for.  The run ends at the first degree where every count asked for is
+    known.
 
-    The loop advances a window of degrees at a time, and the run
-    eliminates a window in one kernel call.  Its degrees interact only
-    through the harvest, and a window ends before any of them could
-    change the rows a degree builds, so it builds exactly the rows of its
-    degrees taken one at a time.  It ends at the first of (a) the last
-    degree before an element harvested in it could reach a row of it: one
-    harvested for f_j at degree e reaches the rows of a later f_i from
-    degree e + max(d_i, 1) on, and only the inputs past the leading
-    single-term ones and before the last one built are harvested; (b) the
-    last degree before an unknown count could be settled, where a lower
-    bound on its quotient is zero across its certificate's width: a
-    prefix's quotient is at least the prefix below's (known, or its own
-    bound) less the rows of its input, and a restricted quotient at least
-    the monomials in x_1..x_i less one row per multiplier in x_1..x_i of
-    each nonzero input; (c) the last degree where f_1..f_j has a count
-    asked for and unknown.
+    The loop advances a window of degrees at a time, the windows tiling
+    the degrees from 0, and the run eliminates a window in one kernel call;
+    a degree where no input past the leading single-term ones has a row
+    gets no kernel row, and its pivots are those inputs' unit pivots.  The
+    degrees of a window interact only through the harvest, and a window
+    ends before any of them could change the rows a degree builds, so it
+    builds exactly the rows of its degrees taken one at a time.  It ends
+    at the first of (a) the last degree before an element harvested in it
+    could reach a row of it: one harvested for f_j at degree e reaches the
+    rows of a later f_i from degree e + max(d_i, 1) on, and only the inputs
+    past the leading single-term ones and before the last one built are
+    harvested; (b) the last degree before an unknown count could be
+    settled, where a lower bound on its quotient is zero across its
+    certificate's width: a prefix's quotient is at least the prefix
+    below's (known, or its own bound) less the rows of its input, and a
+    restricted quotient at least the monomials in x_1..x_i less one row
+    per multiplier in x_1..x_i of each nonzero input; (c) the last degree
+    where f_1..f_j has a count asked for and unknown.
     """
     run = _MatrixRun(sys, count_only=True)
     m, n = len(run.inputs), run.ring.n
@@ -610,8 +605,8 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
     top = max(up_to_degrees, default=-1)
     # per count (dimension, restricted) and prefix: its bound, its census,
     # the width of its certificate, its quotient by degree once known, and
-    # its quotient in each degree so far; the restricted count only for the
-    # short prefixes, of fewer than n inputs
+    # its quotient in each degree counted before then; the restricted count
+    # only for the short prefixes, of fewer than n inputs
     short = min(m, n - 1)
     bounds = [list(up_to_degrees), list(restricted_up_to[:short])]
     census = [[monomial_census(W, top)] * m, [monomial_census(W[:i], top) for i in range(1, short + 1)]]
@@ -639,7 +634,7 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
         # (a) an element harvested for input j at degree e reaches the rows
         # of a later input i from degree e + max(d_i, 1) on
         building = [di for di in run.degrees[run.units : built] if di >= 0]
-        end = min(top, d + max(min(building[1:], default=top), 1) - 1)
+        end = min(top, d + max(min(building[1:], default=top + 1), 1) - 1)
         # (c) f_1..f_built has its dimension, or else its restricted count,
         # unknown, and the dimension is counted at least as far
         end = min(end, last[0][built - 1] if known[0][built - 1] is None else last[1][built - 1])
@@ -689,27 +684,13 @@ def prefix_ideal_dims(sys, up_to_degrees, restricted_up_to):
         if not unknown:
             break
         built = max(i for _, i in unknown) + 1
-        end = window_end(d, built)
-        # the first degree where an input past the leading single-term ones has a row
-        rest = min((di for di in run.degrees[run.units : built] if di >= 0), default=top + 1)
-        # an unknown restricted count is one of a prefix past the leading
-        # single-term inputs, and reads their pivots
-        if run.units and not any(c for c, _ in unknown) and d < rest:
-            # every longer prefix has the leading inputs' ideal below rest,
-            # whose census is known
-            window = range(d, min(end, rest - 1) + 1)
-            pivots = [[[census[0][0][e] - known[0][run.units - 1][e]] * m for e in window], [none] * len(window)]
-        else:
-            window = range(d, end + 1)
-            run.run_degree(window, n_inputs=built)
-            pivots = [[run.prefix_pivots.get(e, none) for e in window], [run.restricted_pivots.get(e, none) for e in window]]
+        window = range(d, window_end(d, built) + 1)
+        run.run_degree(window, built)
+        pivots = [[run.prefix_pivots.get(e, none) for e in window], [run.restricted_pivots.get(e, none) for e in window]]
         # no count is settled inside a window, and each leaves at its last degree
-        for c, i in counts:
+        for c, i in unknown:
             stop = min(window.stop, last[c][i] + 1)
-            if known[c][i] is not None:
-                quotients[c][i] += known[c][i][d:stop]
-            else:
-                quotients[c][i] += [census[c][i][e] - got[i] for e, got in zip(range(d, stop), pivots[c])]
+            quotients[c][i] += [census[c][i][e] - got[i] for e, got in zip(range(d, stop), pivots[c])]
         d = window.stop
     # each quotient as counted, then its closed form
     rows = [[[0] * (top + 1)], [[0] * (max(restricted_up_to, default=-1) + 1)]]

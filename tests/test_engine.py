@@ -630,13 +630,14 @@ def test_monomial_tables_are_shared_and_read_only():
     import wgb.engine as engine
 
     W = (3, 2, 1)
-    monos, arr, last, radix, codes = engine._monomial_table(W, 7)
+    monos, arr, last, radix = engine._monomial_table(W, 7)
     assert engine._monomial_table(W, 7)[1] is arr
     assert sorted(monos) == sorted(monomials_of_wdeg(W, 7)) and isinstance(monos, tuple)
     assert arr.tolist() == [list(m) for m in monos]
     # the column codes ascend along the columns, which searchsorted needs
-    assert codes.tolist() == (arr @ radix).tolist() and (codes[1:] > codes[:-1]).all()
-    for a in (arr, last, radix, codes):
+    codes = arr @ radix
+    assert (codes[1:] > codes[:-1]).all()
+    for a in (arr, last, radix):
         with pytest.raises(ValueError):
             a[0] = 0
     assert engine._monomial_table.cache_info().maxsize == engine.MONOMIAL_TABLES
@@ -977,6 +978,20 @@ def test_prefix_ideal_dims_windows_match_the_definition(monkeypatch):
     assert len(examples) >= 200
     assert sum(any(k >= 2 for k, _ in w) for w in examples) >= len(examples) / 3
     assert any(k >= 2 and b >= 2 for w in examples for k, b in w)
+
+
+def test_prefix_ideal_dims_one_building_input_takes_one_window(monkeypatch):
+    # one dense input in two variables: no harvest reaches a row and its
+    # quotient is never zero, so the window runs from degree 0 to the bound
+    # in one kernel call, on the monomials of the degrees 2..6 with a row
+    import wgb.engine as engine
+
+    sys = random_w_homogeneous_system((1, 1), (2,), seed=3)
+    kernel = engine.row_rank_profile
+    shapes = []
+    monkeypatch.setattr(engine, "row_rank_profile", lambda A, p: shapes.append(A.shape) or kernel(A, p))
+    assert prefix_ideal_dims(sys, [6], [-1]) == [[[0] * 7, [0, 0, 1, 2, 3, 4, 5]], [[], []]]
+    assert shapes == [(1 + 2 + 3 + 4 + 5, 3 + 4 + 5 + 6 + 7)]
 
 
 def test_prefix_ideal_dims_refuses_mismatched_bounds():

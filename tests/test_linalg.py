@@ -270,8 +270,9 @@ def _signature_matrix(run, d, n_inputs):
 def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
     # on the signature matrices of a mixed-power sequence the kernel gets no
     # row of the leading pure powers: only the other rows, on the columns
-    # the powers' multiples leave free.  Mapped back to the whole matrix,
-    # its leads and the unit rows' read-off ones are the oracle's
+    # the powers' multiples leave free in the degrees those rows have.
+    # Mapped back to the whole matrix, its leads and the unit rows'
+    # read-off ones are the oracle's
     import wgb.engine as engine
     from wgb.engine import prefix_ideal_dims
     from wgb.structure import froberg_sequence
@@ -291,6 +292,8 @@ def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
             full[r : r + len(b), c : c + b.shape[1]] = b
             r, c = r + len(b), c + b.shape[1]
         state["full"], state["owner"] = full, np.concatenate([owner for _, owner in blocks])
+        # the columns of the degrees with a row past the pure powers
+        state["reached"] = np.repeat([(owner >= units).any() for _, owner in blocks], [b.shape[1] for b, _ in blocks])
         state["kernel"] = None
         got = real_degree(run, window, n_inputs)
         for d, (full, owner) in zip(window, blocks):
@@ -306,7 +309,7 @@ def test_leading_unit_rows_never_reach_the_row_loop(monkeypatch):
     def kernel(A, p):
         full, owner = state["full"], state["owner"]
         unit = owner < units
-        free = np.flatnonzero(~full[unit].any(axis=0))
+        free = np.flatnonzero(~full[unit].any(axis=0) & state["reached"])
         assert A.tolist() == full[~unit][:, free].tolist()
         lead = row_rank_profile(A.copy(), p)
         oracle = np.array(eliminate_rows(full, p)[0])

@@ -511,10 +511,11 @@ def test_square_report_keeps_the_rows_of_an_unsettled_prefix(monkeypatch):
 
 def test_mixed_power_semiregular_builds_only_what_its_counts_read(monkeypatch):
     # is_semiregular asks for no restricted count: no staircase_census call
-    # in fewer variables, and no degree run below the dense input's, where
-    # the pure powers' census gives every count.  Each pure power is
-    # harvested up front, so no row of the dense input has a multiplier a
-    # pure power divides, not even one x^6 that its own pivot x^2 divides
+    # in fewer variables, and no kernel row or column below the dense
+    # input's degree 2, where the pure powers' unit pivots give every count.
+    # Each pure power is harvested up front, so no row of the dense input
+    # has a multiplier a pure power divides, not even one x^6 that its own
+    # pivot x^2 divides
     W = (1, 1, 1)
     sys = froberg_sequence(W, (6, 6, 6), 2)
     windows = []
@@ -523,15 +524,17 @@ def test_mixed_power_semiregular_builds_only_what_its_counts_read(monkeypatch):
     weights = []
     monkeypatch.setattr(wgb.engine, "staircase_census", lambda gens, ws, N: weights.append(ws) or census(gens, ws, N))
     kernel = wgb.engine.row_rank_profile
-    rows = []
-    monkeypatch.setattr(wgb.engine, "row_rank_profile", lambda A, p: rows.append((windows[-1], len(A))) or kernel(A, p))
+    shapes = []
+    monkeypatch.setattr(wgb.engine, "row_rank_profile", lambda A, p: shapes.append((windows[-1], A.shape)) or kernel(A, p))
     assert is_semiregular(sys).semiregular
     assert weights and all(ws == W for ws in weights)
-    assert calls and min(d for d, _ in calls) == 2
-    # the multipliers of degree d - 2 outside the pure powers, one row each
-    # per degree of a window
+    assert calls
+    # per degree d >= 2 of a window, one row per multiplier of degree d - 2
+    # outside the pure powers, on the monomials of degree d outside them
     outside = census([f.lm for f in sys.polys[:3]], W, 20)
-    assert sum(map(len, (w for w, _ in rows))) > 3 and all(r == sum(outside[d - 2] for d in w) for w, r in rows)
+    assert sum(map(len, (w for w, _ in shapes))) > 3
+    for w, shape in shapes:
+        assert shape == (sum(outside[d - 2] for d in w if d >= 2), sum(outside[d] for d in w if d >= 2))
 
 
 def test_mixed_power_semiregular_eliminates_one_window(monkeypatch):
@@ -545,6 +548,48 @@ def test_mixed_power_semiregular_eliminates_one_window(monkeypatch):
     assert shapes == [(108, 156)]
 
 
+def test_mixed_power_semiregular_windows_tile_from_degree_0(monkeypatch):
+    # every degree goes through run_degree, the ones below the dense input's
+    # too, in windows that tile the degrees from 0 without a gap; those
+    # degrees have the pure powers' unit pivots alone, so the kernel still
+    # gets the one matrix of degrees 2 to 9
+    sys = froberg_sequence((1, 1, 1), (6, 6, 6), 2)
+    calls = _run_degree_calls(monkeypatch)
+    kernel = wgb.engine.row_rank_profile
+    shapes = []
+    monkeypatch.setattr(wgb.engine, "row_rank_profile", lambda A, p: shapes.append(A.shape) or kernel(A, p))
+    assert is_semiregular(sys).semiregular
+    assert [d for d, _ in calls] == list(range(calls[-1][0] + 1))
+    assert shapes == [(108, 156)]
+
+
+def test_square_report_windows_write_rows_in_place(monkeypatch):
+    # a dense square report eliminates windows of several degrees where
+    # several inputs build rows.  Each row is written at its place, degree
+    # after degree, into the one array the kernel gets, and the kernel's
+    # block split finds one block per degree that has rows: f_1 is dense
+    # and x_3 has weight 1, so every degree from d_1 on has a row of f_1
+    import wgb.linalg as linalg
+
+    sys = random_w_homogeneous_system((2, 1, 1), (4, 4, 6), seed=0)
+    windows = []
+    _run_degree_calls(monkeypatch, windows)
+    made, shapes, split = [], [], []
+    mapped = wgb.engine.zeros
+    monkeypatch.setattr(wgb.engine, "zeros", lambda shape, dtype: made.append(shape) or mapped(shape, dtype))
+    kernel = wgb.engine.row_rank_profile
+
+    def recorded(A, p):
+        shapes.append(A.shape)
+        window = windows[-1]
+        if len(window) >= 2 and sum(d <= window[-1] for d in sys.degrees) >= 2:
+            split.append((len(linalg._diagonal_blocks(A)), sum(d >= sys.degrees[0] for d in window)))
+        return kernel(A, p)
+
+    monkeypatch.setattr(wgb.engine, "row_rank_profile", recorded)
+    structure_report(sys)
+    assert made == shapes  # one array per kernel call, the one it gets
+    assert len(split) >= 2 and all(blocks == degrees for blocks, degrees in split)
 @st.composite
 def regularity_inputs(draw):
     """W-homogeneous systems with n <= 3, weights 1 to 3, m <= n, at every
