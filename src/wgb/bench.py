@@ -23,12 +23,13 @@ def _entry(key, expected, computed, note=""):
     return out
 
 
-def measured_dreg(weights, degrees, seed):
+def measured_dreg(weights, degrees, seed, deadline=None):
     """Observed degree of regularity of one dense random instance
-    (matrix engine, Hilbert-driven stop)."""
+    (matrix engine, Hilbert-driven stop, given up at the time.monotonic()
+    deadline)."""
     sys = random_w_homogeneous_system(weights, degrees, seed)
     expected = expand_rational(degrees, weights)
-    gb = matrix_gb_whomog(sys, expected_series=expected)
+    gb = matrix_gb_whomog(sys, expected_series=expected, deadline=deadline)
     return gb.stats.observed_dreg
 
 
@@ -72,12 +73,8 @@ def run_table2(full=False, budget_seconds=1800.0):
         if full:
             deadline = time.monotonic() + budget_seconds
             try:
-                sys = random_w_homogeneous_system(W, D, seed=1)
-                expected = expand_rational(D, W)
-                gb = matrix_gb_whomog(sys, expected_series=expected, deadline=deadline)
-                entries.append(
-                    _entry(row["id"] + "/measured_dreg", row["dreg"], gb.stats.observed_dreg)
-                )
+                dreg = measured_dreg(W, D, 1, deadline)
+                entries.append(_entry(row["id"] + "/measured_dreg", row["dreg"], dreg))
             except (BudgetExceededError, IncompleteBasisError) as exc:
                 if isinstance(exc, BudgetExceededError):
                     note = f"not completed within budget: {exc}"

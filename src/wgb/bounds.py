@@ -9,7 +9,7 @@ degree of regularity, and the matrix-size / F5 / FGLM cost formulas.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, exp, gcd, log, sqrt
+from math import comb, exp, gcd, log, sqrt
 from typing import Optional
 
 from .errors import ArityError
@@ -91,7 +91,7 @@ def conjectured_dreg(weights, degrees):
     W, D = _check_square(weights, degrees)
     d0 = first_gap_degree(W, D)
     wn = W[len(W) - 1]
-    return wn * ceil(d0 / wn)
+    return -(-d0 // wn) * wn  # an integer ceiling: d0 may pass 2^53
 
 
 def weighted_bezout(weights, degrees):

@@ -10,7 +10,8 @@ over that column's nonzero support (Faugere-Gianni-Lazard-Mora, JSC 1993;
 Faugere-Mou, ISSAC 2011).  The walk then takes lex monomials in increasing
 order, forms each one's normal-form vector the same way, and tests it for
 linear dependence against a reduced row echelon form with its
-transformation appended: one product reduces a candidate, and a
+transformation appended: one product reduces a candidate, a new pivot
+is cleared from the echelon rows with linalg.clear_column, and a
 dependency yields exactly one reduced lex basis element.  Field
 operations are counted so the n * degree^3 cost shape is observable.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositiveDimensionError, StaircaseTooLargeError
-from .linalg import MAX_INNER, matmul_mod, reduce_rows, zeros
+from .linalg import MAX_INNER, clear_column, matmul_mod, reduce_rows, zeros
 from .order import MonomialOrder
 # not called here; perfbench/tracing.py wraps this binding
 from .poly import reduce_poly  # noqa: F401
@@ -271,10 +272,7 @@ def _lex_walk(gb):
         hit = ech[:r, piv].nonzero()[0]
         stats.field_ops += len(hit) * 2 * D
         for s in range(0, len(hit), _GATHER_ROWS):
-            h = hit[s : s + _GATHER_ROWS]
-            cleared = ech[h]
-            reduce_rows(cleared, [piv], row[None, :], p)
-            ech[h] = cleared
+            clear_column(ech, hit[s : s + _GATHER_ROWS], piv, row, p)
         ech[r] = row
         ech_pivots[r] = piv
         accepted_index[mono] = r

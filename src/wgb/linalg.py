@@ -9,6 +9,10 @@ above that the operands are split into 16-bit halves (Dumas-Giorgi-Pernet,
 packages", TOMS 2008).
 The elimination follows the recursive row rank profile scheme of
 Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case.
+reduce_rows clears many pivot columns in one product (a bottom half by
+its top half, a top half by the bottom half's pivots); clear_column clears
+one pivot column from kept rows, the step of the base case's
+back-substitution and of the FGLM walk.
 A count-only signature run calls row_rank_profile once per window of
 degrees, on a block-diagonal matrix, and a dense one is eliminated block
 by block.  The kernel looks for no other structure in its input: the
@@ -110,6 +114,17 @@ def reduce_rows(X, piv, E, p):
             part %= p
 
 
+def clear_column(E, rows, j, row, p):
+    """Subtract from the given rows of E their column-j entry times row, in
+    place, mod p.  row is monic at j and zero left of it, so only the
+    columns j: change, and the rows end up zero at j; the products are
+    formed in int64."""
+    X = E[rows, j:].astype(np.int64)
+    X -= X[:, :1] * row[j:]
+    X %= p
+    E[rows, j:] = X
+
+
 def row_echelon(A, p):
     """Row rank profile and reduced row echelon form of A over GF(p).
 
@@ -203,8 +218,8 @@ def _diagonal_blocks(A):
 def _echelon_rows(A, p, reduced):
     """Row by row: each row is reduced at its leading column by the rows
     kept so far until that column is free, then made monic and kept; when
-    reduced, a final pass clears the entries the kept rows have in later
-    pivot columns."""
+    reduced, back-substitution then clears each pivot column, rightmost
+    first, from the other kept rows with clear_column."""
     m, n = A.shape
     if not n:  # argmax needs a column
         return np.full(m, -1, dtype=np.int64), (A[:0] if reduced else None)
@@ -237,21 +252,10 @@ def _echelon_rows(A, p, reduced):
     if not reduced:
         return lead, None
     E = A[: len(pivots)]
-    piv = lead[lead >= 0]
-    # a row is zero left of its own pivot, so in pivot order the kept rows'
-    # entries in the pivot columns are upper triangular.  A row is cleared
-    # once the rows at whose pivots it has entries are; rows are cleared a
-    # level at a time, rightmost pivots first.
-    others = (E != 0)[:, piv]
-    others[np.arange(len(piv)), np.arange(len(piv))] = False
-    todo = np.flatnonzero(others.any(axis=1))
-    level = np.zeros(len(piv), dtype=np.int64)
-    for k in sorted(todo.tolist(), key=piv.__getitem__, reverse=True):
-        level[k] = level[others[k]].max() + 1
-    for lv in range(1, level.max(initial=0) + 1):
-        rows = np.flatnonzero(level == lv)
-        deps = np.flatnonzero(others[rows].any(axis=0))
-        X = E[rows]
-        reduce_rows(X, piv[deps], E[deps], p)
-        E[rows] = X
+    # a kept row is zero left of its own pivot, so clearing the pivot
+    # columns rightmost first never brings back an entry cleared before
+    for j, k in sorted(pivots.items(), reverse=True):
+        hit = E[:, j].nonzero()[0]
+        if len(hit) > 1:  # row k is one of them
+            clear_column(E, hit[hit != k], j, E[k], p)
     return lead, E

@@ -209,9 +209,10 @@ class CIShapeReport:
 def shape_params(weights, degrees):
     """Plateau parameters of a complete-intersection series.
 
-    Degrees are sorted ascending whenever every degree is divisible by the
-    largest weight (the setting in which the step-shape statement holds and
-    its proof reorders them); otherwise they are taken as given.
+    Degrees are sorted ascending whenever every degree is divisible by w_1,
+    the first weight (the largest under the reverse chain-divisible weights
+    of the step-shape statement, whose proof reorders them); otherwise they
+    are taken as given.
     """
     W = as_weights(weights)
     D = tuple(degrees)

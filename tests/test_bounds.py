@@ -82,6 +82,9 @@ def test_conjectured_dreg_values():
     assert conjectured_dreg((20, 5, 5, 1), (60, 60, 60, 60)) == 210
     assert conjectured_dreg((1, 5, 5, 20), (60, 60, 60, 60)) == 220
     assert conjectured_dreg((3, 2, 1), (6, 6, 6)) == 13
+    # past 2^53, where d0 / w_n as a float drops the last digits
+    assert conjectured_dreg((3, 1), (3 * 10**17 + 3,) * 2) == 6 * 10**17 + 3
+    assert conjectured_dreg((3, 2), (3 * 10**17, 2 * 10**17 + 1)) == 5 * 10**17 - 4  # d0 + 1
     with pytest.raises(ValueError):
         conjectured_dreg((2, 4), (4, 8))  # gcd > 1, no unit weight
 

@@ -597,7 +597,8 @@ def test_matrix_stats_per_degree_record():
 def test_prefix_ideal_dims_counts_only(monkeypatch):
     # a count-only run harvests leading monomials and tags alone: it builds
     # no Polynomial, never asks for the reduced echelon form, and on these
-    # sparse matrices (the row loop) makes no reduce_rows call at all
+    # sparse matrices (the row loop) makes no reduce_rows call at all, nor
+    # the clear_column calls of the full run's back-substitution
     import wgb.engine as engine
     import wgb.linalg as linalg
 
@@ -606,7 +607,7 @@ def test_prefix_ideal_dims_counts_only(monkeypatch):
     sys = PolySystem(R, [x**2, y**3, (x + y**2 + z**2) ** 2, x * z**2 + y**4], (4, 3, 4, 4))
     bounds = [8, 8, 8, 8]
     want = prefix_ideal_dims(sys, bounds, bounds)
-    counts = {"Polynomial": 0, "reduce_rows": 0}
+    counts = {"Polynomial": 0, "reduce_rows": 0, "clear_column": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -618,12 +619,13 @@ def test_prefix_ideal_dims_counts_only(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(engine, "Polynomial", counting("Polynomial", engine.Polynomial))
         mp.setattr(linalg, "reduce_rows", counting("reduce_rows", linalg.reduce_rows))
+        mp.setattr(linalg, "clear_column", counting("clear_column", linalg.clear_column))
         matrix_gb_whomog(sys)
-        assert counts["Polynomial"] > 0 and counts["reduce_rows"] > 0
-        counts.update(Polynomial=0, reduce_rows=0)
+        assert counts["Polynomial"] > 0 and counts["clear_column"] > 0
+        counts.update(Polynomial=0, reduce_rows=0, clear_column=0)
         mp.setattr(engine, "row_echelon", None)
         assert prefix_ideal_dims(sys, bounds, bounds) == want
-    assert counts == {"Polynomial": 0, "reduce_rows": 0}
+    assert counts == {"Polynomial": 0, "reduce_rows": 0, "clear_column": 0}
 
 
 def test_monomial_tables_are_shared_and_read_only():

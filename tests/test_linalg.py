@@ -82,22 +82,27 @@ def test_row_rank_profile_matches_oracle_on_each_path(p, path, monkeypatch):
 
 
 def test_row_rank_profile_skips_the_clearing_steps(monkeypatch):
-    # the clearing steps reduce kept echelon rows: the row loop's final pass
-    # and the blocked path's update of the top half.  The count-only call
-    # makes neither for the whole matrix; its top halves stay reduced, as
-    # the reduction of each bottom half by its top half needs them
+    # the clearing steps reduce kept echelon rows: the row loop's
+    # back-substitution (clear_column) and the blocked path's update of the
+    # top half.  The count-only call makes neither for the whole matrix;
+    # its top halves stay reduced, as the reduction of each bottom half by
+    # its top half needs them
     import wgb.linalg as linalg
 
     calls = []  # (clearing step?, rows of the matrix being echelonned)
-    inner = linalg.reduce_rows
+    inner_reduce, inner_clear = linalg.reduce_rows, linalg.clear_column
 
     def recorded(X, piv, E, p):
         caller = sys._getframe(1)
-        clearing = caller.f_code.co_name == "_echelon_rows" or X is caller.f_locals.get("E_t")
-        calls.append((clearing, caller.f_locals["A"].shape[0]))
-        return inner(X, piv, E, p)
+        calls.append((X is caller.f_locals.get("E_t"), caller.f_locals["A"].shape[0]))
+        return inner_reduce(X, piv, E, p)
+
+    def clearing(E, rows, j, row, p):
+        calls.append((True, sys._getframe(1).f_locals["A"].shape[0]))
+        return inner_clear(E, rows, j, row, p)
 
     monkeypatch.setattr(linalg, "reduce_rows", recorded)
+    monkeypatch.setattr(linalg, "clear_column", clearing)
     rng = np.random.default_rng(5)
     for m, n in [(BASE_ROWS, 20), (8 * BASE_ROWS, 60)]:
         A = rng.integers(0, 65521, size=(m, n), dtype=np.int64)
@@ -165,6 +170,41 @@ def test_row_echelon_int32_storage():
             lead, E = row_echelon(A.astype(np.int32), p)
             assert lead.tolist() == eliminate_rows(A, p)[0]
             assert E.tolist() == row_echelon(A.copy(), p)[1].tolist()
+
+
+def _banded(rng, p, m, n, width):
+    """Sparse matrices of m rows, each nonzero on at most width columns from
+    its leading one on, the leading columns ascending with gaps: as they
+    stand, plus copies with repeated, summed and zero rows, in shuffled row
+    order.  Their kept rows carry entries at several later pivot columns."""
+    lead = np.sort(rng.choice(n - width + 1, size=m, replace=False))
+    A = np.zeros((m, n), dtype=np.int64)
+    for r, j in enumerate(lead.tolist()):
+        A[r, j : j + width] = rng.integers(1, p, size=width) * (rng.random(width) < 0.8)
+        A[r, j] = rng.integers(1, p)
+    mixed = A.copy()
+    k = rng.choice(m, size=(3, m // 8), replace=False)
+    mixed[k[0]] = mixed[k[1]]  # repeated rows
+    mixed[k[2]] = (A[k[0]] + A[k[2]]) % p  # sums of two rows
+    mixed[k[1][: m // 16]] = 0
+    return [A, A[rng.permutation(m)], mixed[rng.permutation(m)]]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_banded_matrices_chain_the_back_substitution(p):
+    # banded matrices stay on the row loop whole, and clearing one pivot
+    # column from a kept row brings in entries at later pivot columns, so
+    # the back-substitution's clears chain
+    rng = np.random.default_rng(p % 983)
+    for m, n, width in [(BASE_ROWS + 4, 20, 3), (60, 80, 5), (200, 230, 7)]:
+        for A in _banded(rng, p, m, n, width):
+            assert m > BASE_ROWS and np.count_nonzero(A) <= SPARSE_ROW_NONZEROS * m
+            lead, kept = eliminate_rows(A, p)
+            piv = [j for j in lead if j >= 0]
+            later = (np.array(kept)[:, piv] != 0).sum(axis=1) - 1
+            assert later.max() >= width - 1
+            _assert_kernel_matches_oracle(A, p)
+            _assert_kernel_matches_oracle(A.astype(np.int32), p)
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
