@@ -207,6 +207,8 @@ def cmd_invert(args):
 def cmd_bench(args):
     runner = RUNNERS[args.target]
     if args.target == "table2":
+        if not args.budget > 0:  # a NaN budget would never expire
+            raise ValueError(f"--budget must be greater than 0, got {args.budget}")
         report = runner(full=args.full, budget_seconds=args.budget)
     elif args.target == "table1":
         if args.seeds < 1:

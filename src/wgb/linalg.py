@@ -8,11 +8,14 @@ above that the operands are split into 16-bit halves (Dumas-Giorgi-Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
 packages", TOMS 2008).
 The elimination follows the recursive row rank profile scheme of
-Dumas-Pernet-Sultan (ISSAC 2015), with a sequential loop as its base case.
+Dumas-Pernet-Sultan (ISSAC 2015), with two base cases: a sparse matrix
+goes whole to a row-by-row loop, and a dense block of at most BASE_ROWS
+rows to a step that clears each pivot from the whole block at once.
 reduce_rows clears many pivot columns in one product (a bottom half by
-its top half, a top half by the bottom half's pivots); clear_column clears
-one pivot column from kept rows, the step of the base case's
-back-substitution and of the FGLM walk.
+its top half, a top half by the bottom half's pivots), in tiles sized to
+the matrix; clear_column clears one pivot column from kept rows: the
+dense block step's one call per pivot, the row loop's back-substitution
+and the FGLM walk.
 A count-only signature run calls row_rank_profile once per window of
 degrees, on a block-diagonal matrix, and a dense one is eliminated block
 by block.  The kernel looks for no other structure in its input: the
@@ -30,16 +33,22 @@ import numpy as np
 _FLOAT_EXACT = 2**53
 # the split products sum k terms below 2^47 (int64) or 2^32 (float64)
 MAX_INNER = 2**16
-# Blocks of at most BASE_ROWS rows, and blocks whose rows average at most
-# SPARSE_ROW_NONZEROS nonzero entries, are eliminated row by row.  There a
-# row whose leading column is free costs no arithmetic, and sparse rows
-# meet few pivots: most matrices of a signature run on mixed powers are
-# like that, and the blocked path costs them more than it saves.
-BASE_ROWS = 8
+# A matrix whose rows average at most SPARSE_ROW_NONZEROS nonzero entries
+# is eliminated row by row, whole, at any size.  There a row whose leading
+# column is free costs no arithmetic, and sparse rows meet few pivots: most
+# matrices of a signature run on mixed powers are like that, and the
+# blocked path costs them more than it saves.  A dense block of at most
+# BASE_ROWS rows clears each pivot from the block's later rows (and, for
+# the reduced form, the kept rows above) in one step: a few numpy calls
+# per pivot, where the row loop makes one per pair of rows; the
+# recursion's products take the larger blocks.
+BASE_ROWS = 16
 SPARSE_ROW_NONZEROS = 8
-# reduce_rows works on blocks of rows and columns whose float64 operands
-# and products have at most about this many entries, so that its
-# temporaries stay a small fraction of a large matrix
+# reduce_rows works on tiles of rows and columns whose float64 operands
+# and products have at most about this many entries, or an eighth of the
+# matrix reduced when that is more: its temporaries stay a small fraction
+# of the matrix, and a large matrix is not cut into millions of tiny
+# products
 _BLOCK_ENTRIES = 1 << 13
 # zeros maps arrays of at least this many bytes
 _MAPPED_BYTES = 128 << 10
@@ -98,14 +107,16 @@ def matmul_mod(A, B, p):
 
 def reduce_rows(X, piv, E, p):
     """Clear the entries of X in the pivot columns piv with the reduced
-    echelon rows E (E[:, piv] is the identity), in place, mod p."""
+    echelon rows E (E[:, piv] is the identity), in place, mod p.  The
+    products run on tiles of max(_BLOCK_ENTRIES, X.size // 8) entries."""
     if X.ndim == 1:
         X -= matmul_mod(X[piv], E, p)
         X %= p
         return
     k, n = E.shape
-    rows = max(1, _BLOCK_ENTRIES // max(1, k))
-    cols = max(1, _BLOCK_ENTRIES // max(1, k, min(rows, len(X))))
+    budget = max(_BLOCK_ENTRIES, X.size // 8)
+    rows = max(1, budget // max(1, k))
+    cols = max(1, budget // max(1, k, min(rows, len(X))))
     for r in range(0, len(X), rows):
         C = X[r : r + rows, piv].astype(np.float64)
         for s in range(0, n, cols):
@@ -141,7 +152,7 @@ def row_echelon(A, p):
 def row_rank_profile(A, p):
     """The lead of row_echelon(A, p), without the reduced form: the steps
     that only clear entries above the pivots are left out, and the
-    diagonal blocks of a matrix too large or dense for the row loop are
+    diagonal blocks of a dense matrix of more than BASE_ROWS rows are
     eliminated one by one.  A is overwritten."""
     return _eliminate(A, p, False)[0]
 
@@ -157,10 +168,15 @@ def _eliminate(A, p, reduced):
 
 
 def _echelon(A, p, reduced):
-    """(lead, E) as row_echelon gives them; unless reduced, only lead."""
+    """(lead, E) as row_echelon gives them; unless reduced, only lead.  A
+    sparse matrix goes to the row loop whole and a dense block of at most
+    BASE_ROWS rows to _echelon_block; a larger dense one is split in two
+    halves of rows (or, unless reduced, into its diagonal blocks)."""
     m, n = A.shape
-    if m <= BASE_ROWS or np.count_nonzero(A) <= SPARSE_ROW_NONZEROS * m:
+    if np.count_nonzero(A) <= SPARSE_ROW_NONZEROS * m:
         return _echelon_rows(A, p, reduced)
+    if m <= BASE_ROWS:
+        return _echelon_block(A, p, reduced)
     if not reduced:
         blocks = _diagonal_blocks(A)
         if len(blocks) > 1:
@@ -196,6 +212,34 @@ def _echelon(A, p, reduced):
     return lead, A[: r_t + r_b]
 
 
+def _echelon_block(A, p, reduced):
+    """A dense block, one pivot at a time: each row in order, already
+    reduced by the rows above, leads at its first nonzero entry; it is made
+    monic and kept, and one clear_column call clears its leading column
+    from every later row and, when reduced, from the rows kept above."""
+    m, n = A.shape
+    lead = np.full(m, -1, dtype=np.int64)
+    index = np.arange(m)
+    k = 0  # kept rows overwrite A from the top
+    for r in range(m):
+        nz = A[r].nonzero()[0]
+        if not nz.size:
+            continue
+        j = int(nz[0])
+        row = A[r]
+        if row[j] != 1:  # products of residues need int64
+            row = row.astype(np.int64) * pow(int(row[j]), p - 2, p) % p
+        A[k] = row
+        lead[r] = j
+        rows = np.concatenate((index[:k], index[r + 1 :])) if reduced else index[r + 1 :]
+        if len(rows):
+            clear_column(A, rows, j, A[k], p)
+        k += 1
+        if k == n:
+            break
+    return lead, (A[:k] if reduced else None)
+
+
 def _diagonal_blocks(A):
     """(first row, end row, first column, end column) of each diagonal block
     of A: the rows split before row r when every nonzero entry of the rows
@@ -216,10 +260,11 @@ def _diagonal_blocks(A):
 
 
 def _echelon_rows(A, p, reduced):
-    """Row by row: each row is reduced at its leading column by the rows
-    kept so far until that column is free, then made monic and kept; when
-    reduced, back-substitution then clears each pivot column, rightmost
-    first, from the other kept rows with clear_column."""
+    """The base case of a sparse matrix, whole at any size: row by row,
+    each row is reduced at its leading column by the rows kept so far until
+    that column is free, then made monic and kept; when reduced,
+    back-substitution then clears each pivot column, rightmost first, from
+    the other kept rows with clear_column."""
     m, n = A.shape
     if not n:  # argmax needs a column
         return np.full(m, -1, dtype=np.int64), (A[:0] if reduced else None)

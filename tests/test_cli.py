@@ -311,3 +311,10 @@ def test_bench_table1(capsys):
 def test_bench_table1_refuses_fewer_than_one_seed(seeds, capsys):
     assert main(["bench", "table1", "--seeds", seeds]) == 2
     assert "--seeds must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["-5", "0", "nan"])
+def test_bench_table2_refuses_a_budget_not_above_zero(budget, capsys):
+    # -5 and 0 expired before the first run, and a NaN budget never expired
+    assert main(["bench", "table2", "--full", "--budget", budget]) == 2
+    assert "--budget must be greater than 0" in capsys.readouterr().err

@@ -61,16 +61,17 @@ def test_row_echelon_matches_oracle(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("path", ["rows", "blocked"])
+@pytest.mark.parametrize("path", ["rows", "block", "blocked"])
 def test_row_rank_profile_matches_oracle_on_each_path(p, path, monkeypatch):
-    # the count-only call leaves out the clearing steps of both paths: force
-    # every matrix onto the row loop, or split it down to single rows
+    # the count-only call leaves out the clearing steps of every path: force
+    # every matrix onto the row loop or onto the dense block step whole, or
+    # split it down to single rows
     import wgb.linalg as linalg
 
     if path == "rows":
-        monkeypatch.setattr(linalg, "BASE_ROWS", 10**9)
+        monkeypatch.setattr(linalg, "SPARSE_ROW_NONZEROS", 10**9)
     else:
-        monkeypatch.setattr(linalg, "BASE_ROWS", 1)
+        monkeypatch.setattr(linalg, "BASE_ROWS", 10**9 if path == "block" else 1)
         monkeypatch.setattr(linalg, "SPARSE_ROW_NONZEROS", -1)
     rng = np.random.default_rng(p % 997)
     for m, n in SHAPES:
@@ -83,10 +84,11 @@ def test_row_rank_profile_matches_oracle_on_each_path(p, path, monkeypatch):
 
 def test_row_rank_profile_skips_the_clearing_steps(monkeypatch):
     # the clearing steps reduce kept echelon rows: the row loop's
-    # back-substitution (clear_column) and the blocked path's update of the
-    # top half.  The count-only call makes neither for the whole matrix;
-    # its top halves stay reduced, as the reduction of each bottom half by
-    # its top half needs them
+    # back-substitution (clear_column), the dense block step's clears of
+    # the rows kept above a pivot, and the blocked path's update of the top
+    # half.  The count-only call makes none for the whole matrix; its top
+    # halves stay reduced, as the reduction of each bottom half by its top
+    # half needs them
     import wgb.linalg as linalg
 
     calls = []  # (clearing step?, rows of the matrix being echelonned)
@@ -98,7 +100,19 @@ def test_row_rank_profile_skips_the_clearing_steps(monkeypatch):
         return inner_reduce(X, piv, E, p)
 
     def clearing(E, rows, j, row, p):
-        calls.append((True, sys._getframe(1).f_locals["A"].shape[0]))
+        caller = sys._getframe(1)
+        m = caller.f_locals["A"].shape[0]
+        if caller.f_code.co_name != "_echelon_block":
+            calls.append((True, m))
+        else:
+            # one call clears the rows below the pivot row k and, when
+            # reduced, the rows kept above it: only the latter clear
+            cleared = np.arange(len(E))[rows]
+            k = caller.f_locals["k"]
+            if (cleared < k).any():
+                calls.append((True, m))
+            if (cleared > k).any():
+                calls.append((False, m))
         return inner_clear(E, rows, j, row, p)
 
     monkeypatch.setattr(linalg, "reduce_rows", recorded)
@@ -132,28 +146,30 @@ def test_row_echelon_full_rank_before_last_row(p):
 
 
 def test_row_echelon_takes_both_paths(monkeypatch):
-    # a dense matrix over the threshold is split; a sparse one of the same
-    # size goes to the row loop whole
+    # a dense matrix over the threshold is split down to leaves of the dense
+    # block step; a sparse one of the same size goes to the row loop whole
     import wgb.linalg as linalg
 
-    calls = []
-    inner = linalg._echelon_rows
+    calls = []  # the rows of each leaf, of either base case
 
-    def counted(A, p, reduced):
-        calls.append(A.shape[0])
-        return inner(A, p, reduced)
+    def counted(inner):
+        def leaf(A, p, reduced):
+            calls.append(A.shape[0])
+            return inner(A, p, reduced)
+        return leaf
 
-    monkeypatch.setattr(linalg, "_echelon_rows", counted)
+    monkeypatch.setattr(linalg, "_echelon_rows", counted(linalg._echelon_rows))
+    monkeypatch.setattr(linalg, "_echelon_block", counted(linalg._echelon_block))
     rng = np.random.default_rng(3)
-    m = 8 * BASE_ROWS
-    dense = rng.integers(0, 65521, size=(m, 100), dtype=np.int64)
+    m, n = 8 * BASE_ROWS, 16 * BASE_ROWS  # rows of full rank stay dense
+    dense = rng.integers(0, 65521, size=(m, n), dtype=np.int64)
     row_echelon(dense, 65521)
     assert len(calls) > 1 and max(calls) <= BASE_ROWS
     calls.clear()
     # two entries a row
-    sparse = np.zeros((m, 100), dtype=np.int64)
-    sparse[np.arange(m), rng.integers(0, 50, size=m)] = 1
-    sparse[np.arange(m), rng.integers(50, 100, size=m)] = 1
+    sparse = np.zeros((m, n), dtype=np.int64)
+    sparse[np.arange(m), rng.integers(0, n // 2, size=m)] = 1
+    sparse[np.arange(m), rng.integers(n // 2, n, size=m)] = 1
     assert np.count_nonzero(sparse) <= SPARSE_ROW_NONZEROS * m
     row_echelon(sparse, 65521)
     assert calls == [m]
@@ -170,6 +186,94 @@ def test_row_echelon_int32_storage():
             lead, E = row_echelon(A.astype(np.int32), p)
             assert lead.tolist() == eliminate_rows(A, p)[0]
             assert E.tolist() == row_echelon(A.copy(), p)[1].tolist()
+
+
+def _dense_blocks(rng, p, m, n):
+    """The random matrices of _random_matrices, one of full rank, and one
+    with zero-led rows (their first columns zero, the first column zero in
+    every row)."""
+    dense = rng.integers(0, p, size=(m, n), dtype=np.int64)
+    # a unit lower triangular r x r minor on random rows and columns
+    r = min(m, n)
+    rows, cols = rng.choice(m, size=r, replace=False), rng.choice(n, size=r, replace=False)
+    full = dense.copy()
+    full[np.ix_(rows, cols)] = np.tril(dense[:r, :r], -1) + np.eye(r, dtype=np.int64)
+    zero_led = dense.copy()
+    zero_led[:, 0] = 0
+    for i in np.flatnonzero(rng.random(m) < 0.5):
+        zero_led[i, : rng.integers(1, n + 1)] = 0
+    return _random_matrices(rng, p, m, n) + [full, zero_led]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dense_block_step_matches_oracle(p, monkeypatch):
+    # every block of 1 to BASE_ROWS rows goes to the dense block step, wide,
+    # square and tall, stored as int64 and as int32
+    import wgb.linalg as linalg
+
+    monkeypatch.setattr(linalg, "SPARSE_ROW_NONZEROS", -1)  # none is sparse
+    leaves = []
+    inner = linalg._echelon_block
+    monkeypatch.setattr(linalg, "_echelon_block", lambda A, p, reduced: leaves.append(A.shape) or inner(A, p, reduced))
+    rng = np.random.default_rng(p % 977)
+    for m in range(1, BASE_ROWS + 1):
+        for n in sorted({1, max(1, m // 2), m, m + 1, 3 * m + 2}):
+            for A in _dense_blocks(rng, p, m, n) + [np.zeros((m, n), dtype=np.int64)]:
+                for M in (A, A.astype(np.int32)):
+                    leaves.clear()
+                    _assert_kernel_matches_oracle(M, p)
+                    assert leaves == [(m, n), (m, n)]  # row_rank_profile, row_echelon
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("budget", ["fixed", "scaled"])
+def test_reduce_rows_tiles_match_oracle(p, budget, monkeypatch):
+    # reduce_rows tiles its products to max(_BLOCK_ENTRIES, X.size // 8)
+    # entries: at these sizes the fixed budget sets every tile, and with
+    # _BLOCK_ENTRIES = 1 the scaled one does
+    import wgb.linalg as linalg
+
+    if budget == "scaled":
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 1)
+    assert max(m * n for m, n in SHAPES) // 8 < 1 << 13
+    products = []
+    inner = linalg.matmul_mod
+    monkeypatch.setattr(linalg, "matmul_mod", lambda A, B, p: products.append(B.shape) or inner(A, B, p))
+    rng = np.random.default_rng(p % 971)
+    for m, n in SHAPES:
+        for A in _random_matrices(rng, p, m, n):
+            _assert_kernel_matches_oracle(A, p)
+            _assert_kernel_matches_oracle(A.astype(np.int32), p)
+    for width in (3, 5):
+        for A in _banded(rng, p, 90, 130, width):
+            _assert_kernel_matches_oracle(A, p)
+    # the scaled budget cuts the products to 1/8 of a matrix
+    assert products and (max(c for _, c in products) < 130) == (budget == "scaled")
+
+
+def test_reduce_rows_tiles_scale_with_the_matrix(monkeypatch):
+    # on a large matrix each tile is about an eighth of it: a few dozen
+    # products, not the hundreds that tiles of _BLOCK_ENTRIES would take
+    import wgb.linalg as linalg
+    from wgb.linalg import reduce_rows
+
+    p = 65521
+    rng = np.random.default_rng(13)
+    X = rng.integers(0, p, size=(600, 500), dtype=np.int64)
+    piv = np.sort(rng.choice(500, size=300, replace=False))
+    E = rng.integers(0, p, size=(300, 500), dtype=np.int64)
+    E[:, piv] = np.eye(300, dtype=np.int64)
+    want = (X - X[:, piv] @ E % p) % p  # 300 (p - 1)^2 < 2^63
+    products = []
+    inner = linalg.matmul_mod
+    monkeypatch.setattr(linalg, "matmul_mod", lambda A, B, p: products.append(B.shape) or inner(A, B, p))
+    assert X.size // 8 > linalg._BLOCK_ENTRIES  # the scaled budget sets the tiles
+    for entries, most in ((linalg._BLOCK_ENTRIES, 64), (X.size, 1)):  # then one tile
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+        products.clear()
+        got = X.copy()
+        reduce_rows(got, piv, E, p)
+        assert (got == want).all() and 0 < len(products) <= most
 
 
 def _banded(rng, p, m, n, width):
@@ -196,7 +300,7 @@ def test_banded_matrices_chain_the_back_substitution(p):
     # column from a kept row brings in entries at later pivot columns, so
     # the back-substitution's clears chain
     rng = np.random.default_rng(p % 983)
-    for m, n, width in [(BASE_ROWS + 4, 20, 3), (60, 80, 5), (200, 230, 7)]:
+    for m, n, width in [(BASE_ROWS + 4, BASE_ROWS + 16, 3), (60, 80, 5), (200, 230, 7)]:
         for A in _banded(rng, p, m, n, width):
             assert m > BASE_ROWS and np.count_nonzero(A) <= SPARSE_ROW_NONZEROS * m
             lead, kept = eliminate_rows(A, p)
