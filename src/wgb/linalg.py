@@ -6,16 +6,20 @@ products run as float64 BLAS calls, exact while every sum stays below
 2^53, and are reduced mod p in int64 (np.fmod on float64 is ~40x slower);
 above that the operands are split into 16-bit halves (Dumas-Giorgi-Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
-packages", TOMS 2008).
+packages", TOMS 2008).  Matrix products, tiles, gathered rows and blocks
+are reduced mod p with _mod's floor division, as numpy's int64 remainder
+by a scalar is some 2-3x slower on them; vectors and single rows keep %,
+which is cheaper below a few hundred entries.
 The elimination follows the recursive row rank profile scheme of
 Dumas-Pernet-Sultan (ISSAC 2015), with two base cases: a sparse matrix
 goes whole to a row-by-row loop, and a dense block of at most BASE_ROWS
-rows to a step that clears each pivot from the whole block at once.
+rows to a step that clears each pivot from the whole block at once, with
+the same paper's delayed reduction: its updates accumulate in int64, and
+it is folded mod p only when their headroom runs out.
 reduce_rows clears many pivot columns in one product (a bottom half by
 its top half, a top half by the bottom half's pivots), in tiles sized to
 the matrix; clear_column clears one pivot column from kept rows: the
-dense block step's one call per pivot, the row loop's back-substitution
-and the FGLM walk.
+row loop's back-substitution and the FGLM walk.
 A count-only signature run calls row_rank_profile once per window of
 degrees, on a block-diagonal matrix, and a dense one is eliminated block
 by block.  The kernel looks for no other structure in its input: the
@@ -39,9 +43,12 @@ MAX_INNER = 2**16
 # matrices of a signature run on mixed powers are like that, and the
 # blocked path costs them more than it saves.  A dense block of at most
 # BASE_ROWS rows clears each pivot from the block's later rows (and, for
-# the reduced form, the kept rows above) in one step: a few numpy calls
-# per pivot, where the row loop makes one per pair of rows; the
-# recursion's products take the larger blocks.
+# the reduced form, the kept rows above) with one in-place int64 update of
+# an unreduced copy: a few numpy calls per pivot, where the row loop makes
+# one per pair of rows, and a fold mod p only after as many updates as
+# int64 has room for, (2^63 - p) // (p - 1)^2 (never inside a block at
+# p = 65521, every 8 near 2^30, every 2 at 2^31 - 1); the recursion's
+# products take the larger blocks.
 BASE_ROWS = 16
 SPARSE_ROW_NONZEROS = 8
 # reduce_rows works on tiles of rows and columns whose float64 operands
@@ -69,6 +76,15 @@ def zeros(shape, dtype):
     return np.frombuffer(buf, dtype=dtype)[:count].reshape(shape)
 
 
+def _mod(X, p):
+    """X mod p, in place on an int64 array X, which it returns: X - (X // p) p.
+    numpy's int64 floor division by a scalar is some 2x as fast as its
+    remainder on 5000 entries, but its three calls cost more than one %
+    below about 500.  Exact for X >= p - 2^63."""
+    X -= X // p * p
+    return X
+
+
 def matmul_mod(A, B, p):
     """A @ B mod p for entries in [0, p), exact for p < 2^31 and an inner
     dimension k below MAX_INNER.  A and B may be vectors.
@@ -93,22 +109,21 @@ def matmul_mod(A, B, p):
             hi, lo = A @ (B >> 16), A @ (B & 0xFFFF)
         return (hi % p * (1 << 16) + lo % p) % p
     if k * (p - 1) ** 2 < _FLOAT_EXACT:
-        out = (np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)).astype(np.int64)
-        out %= p
-        return out
+        return _mod((np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)).astype(np.int64), p)
     a1, a0 = (h.astype(np.float64) for h in np.divmod(A, 1 << 16))
     b1, b0 = (h.astype(np.float64) for h in np.divmod(B, 1 << 16))
-    hi = (a1 @ b1).astype(np.int64) % p
-    mid = (a1 @ b0 + a0 @ b1).astype(np.int64) % p
-    lo = (a0 @ b0).astype(np.int64) % p
+    hi = _mod((a1 @ b1).astype(np.int64), p)
+    mid = _mod((a1 @ b0 + a0 @ b1).astype(np.int64), p)
+    lo = _mod((a0 @ b0).astype(np.int64), p)
     # hi * (2^32 mod p) < 2^62, mid * 2^16 < 2^47: the sum fits in int64
-    return (hi * ((1 << 32) % p) + mid * (1 << 16) + lo) % p
+    return _mod(hi * ((1 << 32) % p) + mid * (1 << 16) + lo, p)
 
 
 def reduce_rows(X, piv, E, p):
     """Clear the entries of X in the pivot columns piv with the reduced
     echelon rows E (E[:, piv] is the identity), in place, mod p.  The
-    products run on tiles of max(_BLOCK_ENTRIES, X.size // 8) entries."""
+    products run on tiles of max(_BLOCK_ENTRIES, X.size // 8) entries, each
+    folded with one _mod of its int64 difference; a vector X keeps %."""
     if X.ndim == 1:
         X -= matmul_mod(X[piv], E, p)
         X %= p
@@ -121,8 +136,7 @@ def reduce_rows(X, piv, E, p):
         C = X[r : r + rows, piv].astype(np.float64)
         for s in range(0, n, cols):
             part = X[r : r + rows, s : s + cols]
-            part -= matmul_mod(C, E[:, s : s + cols], p)
-            part %= p
+            part[:] = _mod(part - matmul_mod(C, E[:, s : s + cols], p), p)
 
 
 def clear_column(E, rows, j, row, p):
@@ -132,8 +146,7 @@ def clear_column(E, rows, j, row, p):
     formed in int64."""
     X = E[rows, j:].astype(np.int64)
     X -= X[:, :1] * row[j:]
-    X %= p
-    E[rows, j:] = X
+    E[rows, j:] = _mod(X, p)
 
 
 def row_echelon(A, p):
@@ -213,31 +226,48 @@ def _echelon(A, p, reduced):
 
 
 def _echelon_block(A, p, reduced):
-    """A dense block, one pivot at a time: each row in order, already
-    reduced by the rows above, leads at its first nonzero entry; it is made
-    monic and kept, and one clear_column call clears its leading column
-    from every later row and, when reduced, from the rows kept above."""
+    """A dense block, one pivot at a time, on one int64 copy B of it: each
+    row r in order, already reduced by the rows above, leads at its first
+    nonzero entry j; it is made monic and kept, and one in-place update
+    B[:, j:] -= c B[r, j:], c = B[:, j] mod p, clears column j from every
+    later row and, when reduced, from every other row.  An update takes at
+    most (p - 1)^2 off an entry in [0, p), so B is folded mod p with _mod
+    after every (2^63 - p) // (p - 1)^2 updates, and the kept rows when they
+    are written to A; row r is folded when it is reached after an update."""
     m, n = A.shape
     lead = np.full(m, -1, dtype=np.int64)
-    index = np.arange(m)
-    k = 0  # kept rows overwrite A from the top
+    B = A.astype(np.int64)
+    headroom = (2**63 - p) // (p - 1) ** 2
+    kept, updates = [], 0  # updates since the last fold
     for r in range(m):
-        nz = A[r].nonzero()[0]
+        row = B[r]
+        if updates:
+            row %= p
+        nz = row.nonzero()[0]
         if not nz.size:
             continue
         j = int(nz[0])
-        row = A[r]
-        if row[j] != 1:  # products of residues need int64
-            row = row.astype(np.int64) * pow(int(row[j]), p - 2, p) % p
-        A[k] = row
+        if row[j] != 1:
+            row[j:] *= pow(int(row[j]), p - 2, p)
+            row[j:] %= p
         lead[r] = j
-        rows = np.concatenate((index[:k], index[r + 1 :])) if reduced else index[r + 1 :]
-        if len(rows):
-            clear_column(A, rows, j, A[k], p)
-        k += 1
-        if k == n:
+        kept.append(r)
+        rest = B if reduced else B[r + 1 :]
+        c = rest[:, j] % p
+        if reduced:
+            c[r] = 0
+        rest[:, j:] -= c[:, None] * row[j:]
+        updates += 1
+        if updates == headroom:
+            _mod(B, p)
+            updates = 0
+        if len(kept) == n:
             break
-    return lead, (A[:k] if reduced else None)
+    if not reduced:
+        return lead, None
+    k = len(kept)
+    A[:k] = _mod(B[kept], p)
+    return lead, A[:k]
 
 
 def _diagonal_blocks(A):

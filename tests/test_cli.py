@@ -313,6 +313,24 @@ def test_bench_table1_refuses_fewer_than_one_seed(seeds, capsys):
     assert "--seeds must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["1800", "1e-9"])
+def test_bench_table2_full_reports_each_rows_seconds(budget, capsys, monkeypatch):
+    # each measured_dreg entry gives its wall time, whether the run ends or
+    # its budget runs out; a small instance stands in for the 60^4 rows
+    import wgb.bench as bench
+
+    real = bench.measured_dreg
+    monkeypatch.setattr(bench, "measured_dreg", lambda W, D, seed, deadline: real((2, 1, 1), (4, 4, 4), seed, deadline))
+    status = main(["bench", "table2", "--full", "--json", "--budget", budget])
+    data = json.loads(capsys.readouterr().out)
+    assert status == (0 if data["ok"] else 1)  # the stand-in's dreg is not the row's
+    entries = [e for e in data["entries"] if e["id"].endswith("/measured_dreg")]
+    assert len(entries) == 2
+    for e in entries:
+        assert isinstance(e["seconds"], float) and e["seconds"] >= 0
+        assert (e["computed"] is None) == (budget == "1e-9")
+
+
 @pytest.mark.parametrize("budget", ["-5", "0", "nan"])
 def test_bench_table2_refuses_a_budget_not_above_zero(budget, capsys):
     # -5 and 0 expired before the first run, and a NaN budget never expired

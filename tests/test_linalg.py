@@ -9,6 +9,9 @@ from elimination_oracle import eliminate_rows
 from wgb.linalg import BASE_ROWS, SPARSE_ROW_NONZEROS, row_echelon, row_rank_profile
 
 PRIMES = (2, 3, 65521, 2**31 - 1)
+# the largest prime below 2^30: the dense block step folds its int64 copy
+# mod p after every 8 updates, inside a block of BASE_ROWS rows
+P30 = 1073741789
 SHAPES = [
     (1, 1), (3, 7), (7, 3),
     (BASE_ROWS, 20), (BASE_ROWS + 1, 20),  # both sides of the threshold
@@ -50,7 +53,7 @@ def _random_matrices(rng, p, m, n):
     return [dense, sparse, low_rank.astype(np.int64), holes, dup]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + (P30,))
 def test_row_echelon_matches_oracle(p):
     rng = np.random.default_rng(p % 1000)
     for m, n in SHAPES:
@@ -84,13 +87,14 @@ def test_row_rank_profile_matches_oracle_on_each_path(p, path, monkeypatch):
 
 def test_row_rank_profile_skips_the_clearing_steps(monkeypatch):
     # the clearing steps reduce kept echelon rows: the row loop's
-    # back-substitution (clear_column), the dense block step's clears of
-    # the rows kept above a pivot, and the blocked path's update of the top
-    # half.  The count-only call makes none for the whole matrix; its top
-    # halves stay reduced, as the reduction of each bottom half by its top
-    # half needs them
+    # back-substitution (clear_column), the dense block step's update of
+    # the rows above a pivot, and the blocked path's update of the top half.
+    # The count-only call makes none for the whole matrix; its top halves
+    # stay reduced, as the reduction of each bottom half by its top half
+    # needs them
     import wgb.linalg as linalg
 
+    p = 65521
     calls = []  # (clearing step?, rows of the matrix being echelonned)
     inner_reduce, inner_clear = linalg.reduce_rows, linalg.clear_column
 
@@ -101,34 +105,55 @@ def test_row_rank_profile_skips_the_clearing_steps(monkeypatch):
 
     def clearing(E, rows, j, row, p):
         caller = sys._getframe(1)
-        m = caller.f_locals["A"].shape[0]
-        if caller.f_code.co_name != "_echelon_block":
-            calls.append((True, m))
-        else:
-            # one call clears the rows below the pivot row k and, when
-            # reduced, the rows kept above it: only the latter clear
-            cleared = np.arange(len(E))[rows]
-            k = caller.f_locals["k"]
-            if (cleared < k).any():
-                calls.append((True, m))
-            if (cleared > k).any():
-                calls.append((False, m))
+        assert caller.f_code.co_name == "_echelon_rows"
+        calls.append((True, caller.f_locals["A"].shape[0]))
         return inner_clear(E, rows, j, row, p)
+
+    def block_updates(frame, event, arg):
+        # the dense block step's updates, seen line by line as the rows of
+        # its int64 copy B that change mod p, other than the pivot row r:
+        # rows above r are cleared, rows below it are not clearing steps
+        if frame.f_code.co_name != "_echelon_block":
+            return None
+        last = []
+
+        def line(frame, event, arg):
+            B, r = frame.f_locals.get("B"), frame.f_locals.get("r")
+            if B is None:
+                return line
+            now = B % p
+            if last and last[1] is not None:
+                changed = np.flatnonzero((now != last[0]).any(axis=1))
+                m = frame.f_locals["A"].shape[0]
+                if (changed < last[1]).any():
+                    calls.append((True, m))
+                if (changed > last[1]).any():
+                    calls.append((False, m))
+            last[:] = [now, r]
+            return line
+
+        return line
 
     monkeypatch.setattr(linalg, "reduce_rows", recorded)
     monkeypatch.setattr(linalg, "clear_column", clearing)
     rng = np.random.default_rng(5)
-    for m, n in [(BASE_ROWS, 20), (8 * BASE_ROWS, 60)]:
-        A = rng.integers(0, 65521, size=(m, n), dtype=np.int64)
-        A[1::4] = A[::4]  # dependent rows
-        row_echelon(A.copy(), 65521)
-        full = list(calls)
-        calls.clear()
-        assert row_rank_profile(A.copy(), 65521).tolist() == eliminate_rows(A, 65521)[0]
-        assert (True, m) in full and (True, m) not in calls
-        assert sum(c for c, _ in calls) < sum(c for c, _ in full)
-        assert [c for c in calls if not c[0]] == [c for c in full if not c[0]]
-        calls.clear()
+    tracer = sys.gettrace()
+    sys.settrace(block_updates)
+    try:
+        for m, n in [(BASE_ROWS, 20), (8 * BASE_ROWS, 60)]:
+            A = rng.integers(0, p, size=(m, n), dtype=np.int64)
+            A[1::4] = A[::4]  # dependent rows
+            row_echelon(A.copy(), p)
+            full = list(calls)
+            calls.clear()
+            assert row_rank_profile(A.copy(), p).tolist() == eliminate_rows(A, p)[0]
+            assert (True, m) in full and (True, m) not in calls
+            assert sum(c for c, _ in calls) < sum(c for c, _ in full)
+            assert (False, min(m, BASE_ROWS)) in calls  # the updates were seen
+            assert [c for c in calls if not c[0]] == [c for c in full if not c[0]]
+            calls.clear()
+    finally:
+        sys.settrace(tracer)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -175,6 +200,26 @@ def test_row_echelon_takes_both_paths(monkeypatch):
     assert calls == [m]
 
 
+@pytest.mark.parametrize("p", (2, 3, 65521, P30, 2**31 - 1))
+def test_mod_matches_the_remainder_down_to_the_headroom(p):
+    # the dense block step lets entries fall to -headroom (p - 1)^2 before it
+    # folds them with _mod, which must then agree with numpy's %
+    from wgb.linalg import _mod
+
+    low = -((2**63 - p) // (p - 1) ** 2) * (p - 1) ** 2
+    rng = np.random.default_rng(p % 967)
+    X = np.concatenate([
+        np.array([low, low + 1, low + p - 1, -p, -1, 0, 1, p - 1], dtype=np.int64),
+        rng.integers(low, p, size=4000, dtype=np.int64),
+        rng.integers(-(p**2), p, size=4000, dtype=np.int64),
+    ])
+    want = X % p
+    assert _mod(X, p) is X and X.tolist() == want.tolist()
+    assert ((want >= 0) & (want < p)).all()
+    for scalar in (low, -1, 0, p - 1):  # a 0-d product of two vectors
+        assert _mod(np.int64(scalar), p) == scalar % p
+
+
 def test_row_echelon_int32_storage():
     # the matrix engine stores its matrices as int32; every product of two
     # residues must still be formed in int64
@@ -189,9 +234,12 @@ def test_row_echelon_int32_storage():
 
 
 def _dense_blocks(rng, p, m, n):
-    """The random matrices of _random_matrices, one of full rank, and one
-    with zero-led rows (their first columns zero, the first column zero in
-    every row)."""
+    """The random matrices of _random_matrices, one of full rank, one with
+    zero-led rows (their first columns zero, the first column zero in every
+    row), and L U for unit triangular L (m x m) and U (m x n) whose other
+    entries are p - 1: the forward elimination's multipliers and pivot rows
+    are L and U, so each update takes the most, (p - 1)^2, off an entry and
+    the dense block step must fold as often as int64 needs."""
     dense = rng.integers(0, p, size=(m, n), dtype=np.int64)
     # a unit lower triangular r x r minor on random rows and columns
     r = min(m, n)
@@ -202,10 +250,13 @@ def _dense_blocks(rng, p, m, n):
     zero_led[:, 0] = 0
     for i in np.flatnonzero(rng.random(m) < 0.5):
         zero_led[i, : rng.integers(1, n + 1)] = 0
-    return _random_matrices(rng, p, m, n) + [full, zero_led]
+    L = np.tril(np.full((m, m), p - 1, dtype=object), -1) + np.eye(m, dtype=object)
+    U = np.triu(np.full((m, n), p - 1, dtype=object), 1) + np.eye(m, n, dtype=object)
+    worst = (L @ U % p).astype(np.int64)
+    return _random_matrices(rng, p, m, n) + [full, zero_led, worst]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + (P30,))
 def test_dense_block_step_matches_oracle(p, monkeypatch):
     # every block of 1 to BASE_ROWS rows goes to the dense block step, wide,
     # square and tall, stored as int64 and as int32
