@@ -286,6 +286,12 @@ class _MatrixRun:
         self.lcm_degree = -1  # largest lcm degree of two harvested lms sharing a variable
         self._paired = 0  # harvested elements counted in lcm_degree
         self.table = partial(_monomial_table, self.ws.weights)
+        # the record of a run that is not count_only: degree -> whether a
+        # harvested leading monomial divides each monomial of that degree,
+        # for the max w degrees up to the last one run and the ones above it
+        # read so far
+        self.divided = {}
+        self._census_from = 0  # census_divergence met the series below it
 
     def run_degree(self, window, n_inputs):
         """Build and reduce the matrices of the degrees in window, a range,
@@ -310,11 +316,15 @@ class _MatrixRun:
         have such a row; a degree without one has the unit pivots alone.  A
         count-only run harvests no pivot of the last input it builds: only
         the criterion of a later input would read it.  A pivot of the window that one of
-        a lower degree of the window divides is not harvested.
+        a lower degree of the window divides is not harvested.  A run that
+        is not count-only takes one degree at a time and tests its pivots
+        against the record of that degree.
         """
         lms, tags = self.lms, self.tags
         m = len(self.inputs)
         nd = len(window)
+        if not self.count_only:
+            divided = self.record(window[0])  # the harvest test reads it
         tables = [self.table(e) for e in window]
         col_arr = np.concatenate([t[1] for t in tables])
         col_deg = np.repeat(np.arange(nd), [len(t[0]) for t in tables])
@@ -386,9 +396,9 @@ class _MatrixRun:
         # harvested the divisor of every unit pivot up front
         if self.count_only:
             fresh = len(unit) + np.flatnonzero(producers[len(unit) :] < n_inputs - 1)
+            harvest = fresh[~_divisible(col_arr[pivots[fresh]], lms)] if len(fresh) else fresh
         else:
-            fresh = np.arange(len(pivots))
-        harvest = fresh[~_divisible(col_arr[pivots[fresh]], lms)] if len(fresh) else fresh
+            harvest = np.flatnonzero(~divided[pivots])
         if nd > 1 and len(harvest):
             # leave out a pivot that another one, of a lower degree, divides
             found = col_arr[pivots[harvest]]
@@ -398,6 +408,7 @@ class _MatrixRun:
             self.tags = np.concatenate([tags, producers[harvest]])
         if self.count_only:
             return None
+        self._harvested(window[0], pivots, col_arr[pivots[harvest]])
         cols = tables[0][0]
         for k in harvest.tolist():
             if k < len(unit):  # a unit pivot is the monomial itself
@@ -426,6 +437,46 @@ class _MatrixRun:
         divides = (np.concatenate([self._terms[i][0] for i in inputs])[:, None, :] <= monos).all(axis=2)
         return np.where(divides.any(axis=0), np.array(inputs)[divides.argmax(axis=0)], len(self.inputs))
 
+    def record(self, e):
+        """The record at degree e, made when the run has none: for each
+        monomial of degree e, largest first, whether a harvested leading
+        monomial divides it.  The run makes the record of each degree it
+        runs before it harvests there, and keeps it for max w degrees, so a
+        degree the record lacks has no harvested leading monomial: a
+        multiple there of a lower one is x_v times one of degree e - w_v."""
+        mask = self.divided.get(e)
+        if mask is None:
+            mask = self.divided[e] = np.zeros(len(self.table(e)[0]), dtype=bool)
+            radix = self.table(e)[3]
+            lowest = int((self.lms @ self.w).min()) if len(self.lms) else e
+            below = [
+                self.table(e - w)[1][self.record(e - w)] @ radix + radix[v]
+                for v, w in enumerate(self.ws.weights) if e - w >= lowest
+            ]
+            if below:
+                self._mark(e, np.concatenate(below))
+        return mask
+
+    def _mark(self, e, codes):
+        """Mark in the record at degree e the monomials of the given codes,
+        on the radix of degree e, along whose columns the codes increase."""
+        _, arr, _, radix = self.table(e)
+        self.divided[e][np.searchsorted(arr @ radix, codes)] = True
+
+    def _harvested(self, d, pivots, found):
+        """Bring the record up to date after degree d, whose pivots are the
+        leading monomials of I_d and whose harvest is found: mark the
+        multiples of found in the degrees above d the record has, and drop
+        the degrees max w below d."""
+        self.divided[d][pivots] = True
+        for e in [e for e in self.divided if e <= d - self.ws.max]:
+            del self.divided[e]
+        if len(found):
+            for e in self.divided:
+                if e > d:
+                    radix = self.table(e)[3]
+                    self._mark(e, ((found @ radix)[:, None] + self.table(e - d)[1] @ radix).ravel())
+
     def h(self, e):
         """dim (R/I)_e once the run has passed e: monomials less pivots."""
         return len(self.table(e)[0]) - self.prefix_pivots.get(e, [0])[-1]
@@ -449,11 +500,16 @@ class _MatrixRun:
         """(degree, got, expected) at the first degree where the census of
         the harvest leaves the expected series, or None: h(e) up to d, where
         the harvest holds the leading monomials of I_e, and above d the
-        monomials no harvested leading monomial divides."""
-        for e, want in enumerate(expected.coeffs_upto(expected.degree + self.ws.max)):
-            got = self.h(e) if e <= d else int((~_divisible(self.table(e)[1], self.lms)).sum())
-            if got != want:
-                return e, got, want
+        monomials the record leaves.  A run is checked against one series,
+        at degrees that do not decrease: h(e) no longer changes once the run
+        has passed e, so each call resumes where the last one met a degree
+        above its own d or left the series."""
+        coeffs = expected.coeffs_upto(expected.degree + self.ws.max)
+        for e in range(self._census_from, len(coeffs)):
+            got = self.h(e) if e <= d else int(np.count_nonzero(~self.record(e)))
+            if got != coeffs[e]:
+                self._census_from = min(e, d + 1)
+                return e, got, coeffs[e]
         return None
 
 
@@ -482,16 +538,15 @@ def matrix_gb_whomog(sys, expected_series=None, deadline=None):
     is complete, and the first degree where the ideal's Hilbert function
     leaves the series.
     """
+    if expected_series is not None and not expected_series.polynomial:
+        raise ValueError("Hilbert-driven termination needs a polynomial series")
     run = _MatrixRun(sys)
     ring = run.ring
     stats = GBStats(engine="matrix")
-    if not any(run.inputs):
-        return GroebnerBasis(ring, (), stats)
-    if expected_series is not None and not expected_series.polynomial:
-        raise ValueError("Hilbert-driven termination needs a polynomial series")
 
     divergence = None
-    for d in count(min(d for d in run.degrees if d >= 0)):
+    # the zero ideal builds no row and is certified by (b) at degree 0
+    for d in count(min((d for d in run.degrees if d >= 0), default=0)):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError(
                 f"matrix engine exceeded its budget at degree {d}", stats=stats

@@ -123,7 +123,7 @@ def reduce_rows(X, piv, E, p):
     """Clear the entries of X in the pivot columns piv with the reduced
     echelon rows E (E[:, piv] is the identity), in place, mod p.  The
     products run on tiles of max(_BLOCK_ENTRIES, X.size // 8) entries, each
-    folded with one _mod of its int64 difference; a vector X keeps %."""
+    made and folded by _clear_tile; a vector X keeps %."""
     if X.ndim == 1:
         X -= matmul_mod(X[piv], E, p)
         X %= p
@@ -135,8 +135,19 @@ def reduce_rows(X, piv, E, p):
     for r in range(0, len(X), rows):
         C = X[r : r + rows, piv].astype(np.float64)
         for s in range(0, n, cols):
-            part = X[r : r + rows, s : s + cols]
-            part[:] = _mod(part - matmul_mod(C, E[:, s : s + cols], p), p)
+            _clear_tile(X[r : r + rows, s : s + cols], C, E[:, s : s + cols], p)
+
+
+def _clear_tile(part, C, E, p):
+    """part -= C @ E mod p, in place, for float64 C and a tile E of echelon
+    rows.  While k (p - 1)^2 < 2^53 the float64 product is exact and the
+    difference of it and a residue fits in int64, so the tile is folded once,
+    with _mod; above that the product is matmul_mod's split one."""
+    if C.shape[1] * (p - 1) ** 2 < _FLOAT_EXACT:
+        product = (C @ E.astype(np.float64)).astype(np.int64)
+    else:
+        product = matmul_mod(C, E, p)
+    part[:] = _mod(part - product, p)
 
 
 def clear_column(E, rows, j, row, p):

@@ -370,6 +370,54 @@ def test_incomplete_basis_names_first_divergence():
     assert "degree 6, 5 against 4" in str(exc)
 
 
+def test_census_resumes_below_the_degrees_the_harvest_can_change():
+    # (x^2, y^3) against 1 + 2T + 2T^2 + 2T^3 + T^4: after degree 2 the
+    # harvest {x^2} leaves 2 monomials at degree 3, as the series has, and 2
+    # at degree 4 against 1.  Degree 3 then harvests y^3, and h(3) = 1: the
+    # census leaves the series at 3, a degree it met above the run's degree
+    # the call before, and the record at degree 4 counts y^3's multiples
+    import wgb.engine as engine
+    from wgb.series import HilbertSeries
+
+    R = ring((1, 1))
+    x, y = R.gens()
+    expected = HilbertSeries([1, 2, 2, 2, 1], polynomial=True)
+    real = engine._MatrixRun.census_divergence
+    seen = []
+
+    def checked(run, series, d):
+        got = real(run, series, d)
+        seen.append((d, got, {e: int((~m).sum()) for e, m in run.divided.items() if e > d}))
+        return got
+
+    with mock.patch.object(engine._MatrixRun, "census_divergence", checked):
+        with pytest.raises(IncompleteBasisError) as info:
+            matrix_gb_whomog(PolySystem(R, [x**2, y**3]), expected_series=expected)
+    assert info.value.first_divergence == (3, 1, 2)
+    assert seen == [(2, (4, 2, 1), {3: 2, 4: 2}), (3, (3, 1, 2), {4: 0})]
+
+
+def test_zero_system_is_checked_against_the_series():
+    # the zero ideal's census is every monomial, 1, 2, 3 .. on two variables
+    # of weight 1: it leaves (1 + T)^2, the series of two quadrics, at
+    # degree 2, and the run, complete with the empty basis, says so
+    R = ring((1, 1))
+    sys = PolySystem(R, [R.zero(), R.zero()], degrees=(2, 2))
+    with pytest.raises(IncompleteBasisError) as info:
+        matrix_gb_whomog(sys, expected_series=expand_rational((2, 2), (1, 1)))
+    assert info.value.first_divergence == (2, 3, 1)
+    assert info.value.basis.polys == ()
+    assert matrix_gb_whomog(sys).polys == ()
+
+
+def test_zero_system_refuses_a_series_that_is_not_a_polynomial():
+    # (1 + T) / (1 - T): the series is checked before the inputs are
+    R = ring((1, 1))
+    sys = PolySystem(R, [R.zero(), R.zero()], degrees=(2, 2))
+    with pytest.raises(ValueError, match="polynomial series"):
+        matrix_gb_whomog(sys, expected_series=expand_rational((2,), (1, 1)))
+
+
 def test_matrix_engine_deadline_keeps_the_run_so_far():
     import wgb.engine as engine
 
@@ -442,6 +490,66 @@ def test_census_divergence_reads_the_runs_own_counts(case):
         except IncompleteBasisError:
             pass
     assert degrees
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_hilbert_driven_inputs())
+def test_census_record_matches_the_broadcast_test(case):
+    # reference: the broadcast divisibility test on the harvest.  At every
+    # census call each degree the record holds marks the monomials some
+    # harvested leading monomial divides; the call, and a second one at the
+    # same degree, give the scan from degree 0 (so the resume point holds at
+    # that degree and the later ones); and each degree harvests the pivots,
+    # the leading monomials of I_d, that no earlier leading monomial divides
+    import wgb.engine as engine
+
+    sys, expected = case
+    census, run_degree = engine._MatrixRun.census_divergence, engine._MatrixRun.run_degree
+    harvests, calls = [], []
+
+    def scan(run, series, d):
+        for e, want in enumerate(series.coeffs_upto(series.degree + run.ws.max)):
+            got = run.h(e) if e <= d else int((~engine._divisible(run.table(e)[1], run.lms)).sum())
+            if got != want:
+                return e, got, want
+        return None
+
+    def checked(run, series, d):
+        got = census(run, series, d)
+        for e, mask in run.divided.items():
+            assert (mask == engine._divisible(run.table(e)[1], run.lms)).all()
+        assert got == census(run, series, d) == scan(run, series, d)
+        calls.append(d)
+        return got
+
+    def recorded(run, window, n_inputs):
+        before = len(run.lms)
+        record = run_degree(run, window, n_inputs)
+        harvests.append((window[0], run.lms[:before], run.lms[before:]))
+        return record
+
+    runs = []
+
+    class Kept(engine._MatrixRun):
+        def __init__(self, sys):
+            super().__init__(sys)
+            runs.append(self)
+
+    with mock.patch.object(engine._MatrixRun, "census_divergence", checked), \
+            mock.patch.object(engine._MatrixRun, "run_degree", recorded), \
+            mock.patch.object(engine, "_MatrixRun", Kept):
+        try:
+            matrix_gb_whomog(sys, expected_series=expected)
+        except IncompleteBasisError:
+            pass
+    assert calls and harvests
+    # the harvest is complete through the last degree run
+    lms = runs[0].lms
+    for d, before, new in harvests:
+        monos = runs[0].table(d)[1]
+        pivots = monos[engine._divisible(monos, lms)]
+        want = pivots[~engine._divisible(pivots, before)]
+        assert sorted(map(tuple, new.tolist())) == sorted(map(tuple, want.tolist()))
 
 
 def _interreduce_inputs(monkeypatch, run):

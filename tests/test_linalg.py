@@ -288,8 +288,8 @@ def test_reduce_rows_tiles_match_oracle(p, budget, monkeypatch):
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 1)
     assert max(m * n for m, n in SHAPES) // 8 < 1 << 13
     products = []
-    inner = linalg.matmul_mod
-    monkeypatch.setattr(linalg, "matmul_mod", lambda A, B, p: products.append(B.shape) or inner(A, B, p))
+    inner = linalg._clear_tile
+    monkeypatch.setattr(linalg, "_clear_tile", lambda part, C, E, p: products.append(E.shape) or inner(part, C, E, p))
     rng = np.random.default_rng(p % 971)
     for m, n in SHAPES:
         for A in _random_matrices(rng, p, m, n):
@@ -316,8 +316,8 @@ def test_reduce_rows_tiles_scale_with_the_matrix(monkeypatch):
     E[:, piv] = np.eye(300, dtype=np.int64)
     want = (X - X[:, piv] @ E % p) % p  # 300 (p - 1)^2 < 2^63
     products = []
-    inner = linalg.matmul_mod
-    monkeypatch.setattr(linalg, "matmul_mod", lambda A, B, p: products.append(B.shape) or inner(A, B, p))
+    inner = linalg._clear_tile
+    monkeypatch.setattr(linalg, "_clear_tile", lambda part, C, E, p: products.append(E.shape) or inner(part, C, E, p))
     assert X.size // 8 > linalg._BLOCK_ENTRIES  # the scaled budget sets the tiles
     for entries, most in ((linalg._BLOCK_ENTRIES, 64), (X.size, 1)):  # then one tile
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
