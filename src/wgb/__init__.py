@@ -18,11 +18,7 @@ from .series import (
     expand_rational,
     ideal_degree,
     quotient_hilbert_series,
-    series_delta,
-    series_integrate,
-    shape_params,
     truncate_semiregular,
-    validate_ci_shape,
 )
 from .bounds import (
     BoundsReport,
@@ -46,7 +42,6 @@ from .engine import (
 )
 from .structure import (
     StructureReport,
-    divisor_of_wdegree,
     froberg_sequence,
     inversion_system,
     is_noether_position,
@@ -81,10 +76,6 @@ __all__ = [
     "HilbertSeries",
     "expand_rational",
     "truncate_semiregular",
-    "shape_params",
-    "validate_ci_shape",
-    "series_delta",
-    "series_integrate",
     "delta_semiregular_n_plus_1",
     "quotient_hilbert_series",
     "ideal_degree",
@@ -111,7 +102,6 @@ __all__ = [
     "is_noether_position",
     "is_snp",
     "is_semiregular",
-    "divisor_of_wdegree",
     "random_w_homogeneous_system",
     "random_affine_system",
     "froberg_sequence",

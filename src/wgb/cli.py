@@ -90,10 +90,14 @@ def _parse_order_flag(flag, weights):
 
 
 def cmd_gb(args):
+    if args.hilbert_driven and args.engine != "matrix":
+        raise ValueError(f"--hilbert-driven is for --engine matrix, not --engine {args.engine}")
     sys = load_system(args.system)
     order = _parse_order_flag(args.order, sys.ring.weights)
     extra = None
     if order.kind == "elim":
+        if args.engine != "buchberger":
+            raise ValueError(f"--order {args.order} runs Buchberger, not --engine {args.engine}")
         gb, elim = elimination_gb(sys, order.block)
         extra = {"elimination_basis": [format_polynomial(f) for f in elim]}
     elif args.engine == "buchberger":
@@ -124,6 +128,9 @@ def cmd_gb(args):
 
 def cmd_hilbert(args):
     if args.system:
+        for flag in ("weights", "degrees", "truncate"):
+            if getattr(args, flag) not in (None, False):
+                raise ValueError(f"--{flag} is for a rational series, not a system file")
         sys = load_system(args.system)
         gb = buchberger(sys)
         s = quotient_hilbert_series(gb, N=args.window)
@@ -206,6 +213,8 @@ def cmd_invert(args):
 
 def cmd_bench(args):
     runner = RUNNERS[args.target]
+    if args.full and args.target != "table2":
+        raise ValueError(f"--full is for table2, not {args.target}")
     if args.target == "table2":
         if not args.budget > 0:  # a NaN budget would never expire
             raise ValueError(f"--budget must be greater than 0, got {args.budget}")

@@ -93,14 +93,6 @@ def mono_lcm(u, v):
     return tuple(map(max, u, v))
 
 
-def divisors(u):
-    """All divisors of u (exponentwise boxes).  Desk scale only."""
-    out = [()]
-    for a in u:
-        out = [d + (e,) for d in out for e in range(a + 1)]
-    return out
-
-
 # the monomials of at most this many (weights, degree) pairs are kept, the
 # recursion's own lists for the trailing weights included
 MONOMIAL_LISTS = 1024

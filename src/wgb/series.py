@@ -1,14 +1,11 @@
-"""Hilbert series of weighted graded algebras and their shape analysis.
+"""Hilbert series of weighted graded algebras.
 
 Everything here is exact integer arithmetic on coefficient windows of the
 rational series  prod(1 - T^d_i) / prod(1 - T^w_j)  and on staircase
 censuses of monomial ideals.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Optional
 
 from .errors import (
     ArityError,
@@ -132,20 +129,6 @@ def expand_rational(degrees, weights, N=None):
     return HilbertSeries(c[: N + 1], window=N, polynomial=False)
 
 
-def series_delta(s):
-    """First difference: coefficients of (1-T) * S on the same window."""
-    N = s.window
-    c = s.coeffs_upto(N)
-    out = [a - b for a, b in zip(c, [0] + c)]
-    return HilbertSeries(out, window=N, polynomial=False)
-
-
-def series_integrate(s):
-    """Running sums: coefficients of S / (1-T) on the same window."""
-    N = s.window
-    return HilbertSeries(accumulate(s.coeffs_upto(N)), window=N, polynomial=False)
-
-
 def truncate_semiregular(s):
     """Drop everything from the first coefficient <= 0 onward.
 
@@ -179,109 +162,6 @@ def semiregular_truncation_degree(weights, degrees):
         except InsufficientWindowError:
             window = 2 * (s.window + 1)
     return None
-
-
-# ---------------------------------------------------------------------------
-# shape parameters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeriesShape:
-    """Partial sums delta_j = sum_{i<=j}(d_i - w_i) and the derived plateau data."""
-
-    delta_j: tuple
-    delta: int
-    delta_star: int
-    sigma: int
-    sigma_star: Optional[int]
-    mu: int
-    mu_star: Optional[int]
-
-
-@dataclass(frozen=True)
-class CIShapeReport:
-    self_reciprocal: bool
-    monotone_pattern_ok: bool
-    step_width_ok: bool
-    shape: SeriesShape
-
-
-def shape_params(weights, degrees):
-    """Plateau parameters of a complete-intersection series.
-
-    Degrees are sorted ascending whenever every degree is divisible by w_1,
-    the first weight (the largest under the reverse chain-divisible weights
-    of the step-shape statement, whose proof reorders them); otherwise they
-    are taken as given.
-    """
-    W = as_weights(weights)
-    D = tuple(degrees)
-    n = len(W)
-    if len(D) != n:
-        raise ArityError(f"need {n} degrees for shape parameters, got {len(D)}")
-    if all(d % W[0] == 0 for d in D):
-        D = tuple(sorted(D))
-    delta_j = []
-    acc = 0
-    for d, w in zip(D, W):
-        acc += d - w
-        delta_j.append(acc)
-    delta = delta_j[-1]
-    delta_star = delta_j[-2] if n >= 2 else 0
-    sigma = min(delta_star, delta // 2)
-    mu = delta - 2 * sigma
-    if n >= 3:
-        dss = delta_j[-3]
-    elif n == 2:
-        dss = 0
-    else:
-        dss = None
-    sigma_star = min(dss, delta_star // 2) if dss is not None else None
-    mu_star = delta_star - 2 * sigma_star if sigma_star is not None else None
-    return SeriesShape(tuple(delta_j), delta, delta_star, sigma, sigma_star, mu, mu_star)
-
-
-def validate_ci_shape(s, weights, degrees):
-    """Check a series window against the complete-intersection shape.
-
-    Verifies self-reciprocality a_d = a_{delta-d}, the rise/plateau/fall
-    pattern around sigma and sigma+mu, and that the strict increases of
-    the rising phase sit at multiples of w_{n-1} spaced exactly w_{n-1}
-    apart (the step-width statement).  The guarantees only hold under
-    reverse chain-divisible weights with all degrees divisible by the top
-    weight; the checks themselves run on any input.
-    """
-    W = as_weights(weights)
-    shape = shape_params(W, degrees)
-    delta, sigma, mu = shape.delta, shape.sigma, shape.mu
-    a = s.coeffs_upto(delta)
-
-    self_rec = all(a[d] == a[delta - d] for d in range(delta + 1))
-
-    monotone = True
-    for d in range(0, sigma):
-        if a[d] > a[d + 1]:
-            monotone = False
-    for d in range(sigma, sigma + mu):
-        if a[d] != a[d + 1]:
-            monotone = False
-    for d in range(sigma + mu, delta):
-        if a[d] < a[d + 1]:
-            monotone = False
-
-    n = len(W)
-    steps = True
-    if n >= 2:
-        w_step = W[n - 2]
-        rises = [
-            d for d in range(0, sigma + 1) if a[d] > (a[d - 1] if d else 0)
-        ]
-        if any(d % w_step for d in rises):
-            steps = False
-        for prev, nxt in zip(rises, rises[1:]):
-            if nxt - prev != w_step:
-                steps = False
-    return CIShapeReport(self_rec, monotone, steps, shape)
 
 
 def delta_semiregular_n_plus_1(weights, degrees):

@@ -24,10 +24,8 @@ from .errors import (
 from .field import DEFAULT_MODULUS
 from .monomial import (
     as_weights,
-    divisors,
     monomials_of_wdeg,
     monomials_of_wdeg_at_most,
-    wdeg,
 )
 from .order import MonomialOrder
 from .poly import PolyRing, PolySystem
@@ -61,17 +59,6 @@ def is_strongly_w_compatible(weights, degrees):
     if len(D) > len(W):
         raise ArityError(f"{len(D)} degrees for {len(W)} weights")
     return all(d % w == 0 for d, w in zip(D, W))
-
-
-def divisor_of_wdegree(m2, d1, weights):
-    """Some divisor of m2 with weighted degree exactly d1, or None."""
-    W = as_weights(weights)
-    if wdeg(m2, W) < d1:
-        raise ValueError("monomial degree below the requested divisor degree")
-    for cand in divisors(m2):
-        if wdeg(cand, W) == d1:
-            return cand
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +143,6 @@ def _noether_verdict(sys, i, restricted):
 
 def _require_at_most_n(sys, what):
     sys = _verdict_system(sys)
-    sys.require_w_homogeneous()
     if sys.m > sys.n:
         raise ArityError(f"{what} is for m <= n systems")
     return sys

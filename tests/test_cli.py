@@ -220,6 +220,48 @@ def test_gb_hilbert_driven_square_without_polynomial_series_exits_2(tmp_path, ca
     assert main(["gb", str(out), "--engine", "matrix"]) == 0
 
 
+@pytest.mark.parametrize("engine", [None, "buchberger", "homw"])
+def test_gb_hilbert_driven_refuses_an_engine_other_than_matrix(engine, tmp_path, capsys):
+    # only the matrix engine stops on the series; the others ran without it
+    out = tmp_path / "s.txt"
+    main(["gen", "--weights", "2,1", "--degrees", "4,4", "--seed", "3", "--out", str(out)])
+    flags = ["--engine", engine] if engine else []
+    assert main(["gb", str(out), *flags, "--hilbert-driven"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--hilbert-driven is for --engine matrix, not --engine {engine or 'buchberger'}" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["matrix", "homw"])
+def test_gb_elimination_order_refuses_an_engine_other_than_buchberger(engine, tmp_path, capsys):
+    # an elimination order ran Buchberger whatever --engine said
+    out = tmp_path / "s.txt"
+    main(["gen", "--weights", "2,1", "--degrees", "4,4", "--seed", "3", "--out", str(out)])
+    assert main(["gb", str(out), "--order", "elim:1", "--engine", engine, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--order elim:1 runs Buchberger, not --engine {engine}" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--truncate"], ["--weights", "1,1,1", "--degrees", "2,2"]])
+def test_hilbert_of_a_system_refuses_the_rational_options(flags, tmp_path, capsys):
+    # the quotient series of a system file read neither
+    out = tmp_path / "zd.txt"
+    main(["gen", "--weights", "2,1", "--degrees", "4,4", "--seed", "5", "--out", str(out)])
+    assert main(["hilbert", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flags[0]} is for a rational series, not a system file" in captured.err
+
+
+@pytest.mark.parametrize("target", ["dlp-pattern", "figures", "table1"])
+def test_bench_full_is_refused_but_for_table2(target, capsys):
+    assert main(["bench", target, "--full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--full is for table2, not {target}" in captured.err
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # `wgb gb ... | head -5`: the reader is gone before the basis is printed
     out = tmp_path / "sys.txt"

@@ -20,11 +20,7 @@ from wgb import (
     expand_rational,
     ideal_degree,
     quotient_hilbert_series,
-    series_delta,
-    series_integrate,
-    shape_params,
     truncate_semiregular,
-    validate_ci_shape,
     weighted_bezout,
 )
 from wgb.errors import ArityError, InsufficientWindowError, PositiveDimensionError
@@ -188,80 +184,68 @@ def test_truncate_semiregular():
         truncate_semiregular(HilbertSeries([1, 2, 3], window=2))
 
 
-def test_shape_params_examples():
-    sh = shape_params((3, 3, 1), (12, 9, 3))
-    assert (sh.delta, sh.sigma, sh.mu) == (17, 6, 5)
-    sh2 = shape_params((4, 2, 1), (8, 8, 2))
-    assert (sh2.delta, sh2.sigma, sh2.mu) == (11, 5, 1)
-    sh3 = shape_params((1,), (5,))
-    assert sh3.delta == 4 and sh3.sigma == 0
-    assert shape_params((3, 3, 1), (12, 9, 3)).delta_j == (0, 6, 17)
+def _plateau(W, D):
+    """delta, sigma and mu of the shape statement for degrees in the order
+    given: delta = sum(d_i - w_i), sigma = min(delta*, delta // 2) with
+    delta* the sum over the first n - 1, and mu = delta - 2 sigma."""
+    delta = sum(D) - sum(W)
+    sigma = min(sum(D[:-1]) - sum(W[:-1]), delta // 2)
+    return delta, sigma, delta - 2 * sigma
+
+
+def _rises(a, top):
+    """The degrees up to top where the coefficients a strictly increase."""
+    return [d for d in range(top + 1) if a[d] > (a[d - 1] if d else 0)]
 
 
 def test_validate_ci_shape_cases():
-    W, D = (3, 3, 1), (12, 9, 3)
-    rep = validate_ci_shape(expand_rational(D, W), W, D)
-    assert rep.self_reciprocal and rep.monotone_pattern_ok and rep.step_width_ok
+    # off the hypotheses the shape breaks.  W = (3, 2, 2) is not reverse
+    # chain-divisible: the series stays self-reciprocal but falls at once,
+    # inside its rise to sigma = 5
     W, D = (3, 2, 2), (6, 6, 6)
-    rep = validate_ci_shape(expand_rational(D, W), W, D)
-    assert rep.self_reciprocal and not rep.monotone_pattern_ok
+    a = expand_rational(D, W).coeffs
+    assert a == a[::-1] and _plateau(W, D)[1] == 5 and a[0] > a[1]
+    # w_1 = 4 does not divide d_3 = 2: below sigma = 5 the series rises at
+    # 0 and 4, not every w_2 = 2
     W, D = (4, 2, 1), (8, 8, 2)
-    rep = validate_ci_shape(expand_rational(D, W), W, D)
-    assert not rep.step_width_ok
+    a = expand_rational(D, W).coeffs
+    assert _plateau(W, D)[1] == 5 and _rises(a, 5) == [0, 4]
 
 
 def test_ci_shape_grid():
     # the guarantees hold for reverse chain-divisible weights with w_n = 1
-    # and all degrees divisible by the top weight
+    # and all degrees divisible by the top weight, sorted ascending:
+    # self-reciprocal of degree delta, rising to sigma, flat to sigma + mu,
+    # falling after, and rising exactly at the multiples of w_{n-1}
     for n in (1, 2, 3):
         for W in rcd_chains(n, 6, last=1):
             ds = [d for d in range(W[0], 19, W[0])]
             for D in combinations_with_replacement(ds, n):
-                rep = validate_ci_shape(expand_rational(D, W), W, D)
-                assert rep.self_reciprocal, (W, D)
-                assert rep.monotone_pattern_ok, (W, D)
-                assert rep.step_width_ok, (W, D)
-
-
-def test_delta_and_integrate():
-    geo = HilbertSeries([1] * 11, window=10)
-    d = series_delta(geo)
-    assert d.coeffs_upto(10) == [1] + [0] * 10
-    i = series_integrate(d)
-    assert i.coeffs_upto(10) == [1] * 11
-    rng = random.Random(4)
-    for _ in range(100):
-        window = rng.randrange(1, 12)
-        coeffs = [rng.randrange(-5, 9) for _ in range(window + 1)]
-        s = HilbertSeries(coeffs, window=window)
-        assert series_delta(series_integrate(s)).coeffs_upto(window) == coeffs
-        assert series_integrate(series_delta(s)).coeffs_upto(window) == coeffs
+                delta, sigma, mu = _plateau(W, D)
+                a = expand_rational(D, W).coeffs
+                assert len(a) == delta + 1 and a == a[::-1], (W, D)
+                assert all(map(operator.le, a[:sigma], a[1 : sigma + 1])), (W, D)
+                assert len(set(a[sigma : sigma + mu + 1])) == 1, (W, D)
+                assert all(map(operator.ge, a[sigma + mu :], a[sigma + mu + 1 :])), (W, D)
+                if n >= 2:
+                    rises = _rises(a, sigma)
+                    assert rises == list(range(0, rises[-1] + 1, W[-2])), (W, D)
 
 
 def test_series_readers_match_their_coefficients_and_refuse_past_a_window():
-    # the list readers give what coefficient-wise reads give, on windows
-    # longer than the stored list too
+    # the truncation cuts at the first coefficient <= 0 that coefficient-wise
+    # reads find, on windows longer than the stored list too
     rng = random.Random(8)
     for _ in range(200):
         coeffs = [rng.randrange(-2, 6) for _ in range(rng.randrange(0, 8))]
         s = HilbertSeries(coeffs, window=rng.randrange(0, 10), polynomial=rng.random() < 0.3)
-        N = s.window
-        a = [s.coeff(d) for d in range(N + 1)]
-        assert series_delta(s).coeffs == [a[d] - s.coeff(d - 1) for d in range(N + 1)]
-        assert series_integrate(s).coeffs == [sum(a[: d + 1]) for d in range(N + 1)]
-        limit = s.degree if s.polynomial else N
+        limit = s.degree if s.polynomial else s.window
         cut = next((d for d in range(limit + 1) if s.coeff(d) <= 0), None)
         if cut is not None:
             assert truncate_semiregular(s).coeffs == s.coeffs[:cut]
         elif not s.polynomial:
             with pytest.raises(InsufficientWindowError):
                 truncate_semiregular(s)
-    # delta = 3 lies past a window of 2, as before
-    s = HilbertSeries([1, 3, 3], window=2)
-    with pytest.raises(InsufficientWindowError, match="coefficient 3 beyond computed window 2"):
-        validate_ci_shape(s, (1, 1, 1), (2, 2, 2))
-    full = HilbertSeries([1, 3, 3, 1], window=3)
-    assert validate_ci_shape(full, (1, 1, 1), (2, 2, 2)).self_reciprocal
 
 
 def test_delta_semiregular_n_plus_1_values():

@@ -16,7 +16,6 @@ from wgb import (
     PolyRing,
     PolySystem,
     PrimeField,
-    divisor_of_wdegree,
     expand_rational,
     froberg_sequence,
     inversion_system,
@@ -31,10 +30,9 @@ from wgb import (
     random_w_homogeneous_system,
     structure_report,
     truncate_semiregular,
-    wdeg,
 )
 from wgb.engine import buchberger, elimination_gb
-from wgb.errors import ArityError, EmptySupportError, NonPositiveDegreeError
+from wgb.errors import ArityError, EmptySupportError, NonPositiveDegreeError, NotWHomogeneousError
 from wgb.monomial import monomials_of_wdeg, monomials_of_wdeg_at_most
 from wgb.structure import RegularityVerdict
 
@@ -57,26 +55,20 @@ def test_strongly_w_compatible():
         is_strongly_w_compatible((2,), (4, 4))
 
 
-def test_divisor_of_wdegree_examples():
-    assert divisor_of_wdegree((1, 2, 0), 6, (3, 2, 1)) is None
-    m = (2, 3, 1)
-    assert divisor_of_wdegree(m, wdeg(m, (4, 2, 1)), (4, 2, 1)) == m
-    assert divisor_of_wdegree((0, 3, 0), 4, (4, 2, 1)) == (0, 2, 0)
-
-
 def test_divisibility_proposition_equivalence():
     # for non-increasing weights: divisors of every admissible degree exist
     # at every admissible target iff the weights are reverse chain-divisible
     def has_violation(W):
-        n = len(W)
         for d2 in range(1, 25):
             for m2 in monomials_of_wdeg(W, d2):
-                i = next((j for j, a in enumerate(m2) if a), None)
-                if i is None:
-                    continue
-                for d1 in range(W[i], d2 + 1, W[i]):
-                    if divisor_of_wdegree(m2, d1, W) is None:
-                        return True
+                # the weighted degrees of the divisors of m2, and the
+                # admissible targets: multiples of its first variable's weight
+                degrees = {0}
+                for a, w in zip(m2, W):
+                    degrees = {d + k * w for d in degrees for k in range(a + 1)}
+                w = next(w for w, a in zip(W, m2) if a)
+                if not degrees.issuperset(range(w, d2 + 1, w)):
+                    return True
         return False
 
     for n in (2, 3):
@@ -92,6 +84,21 @@ def test_divisibility_proposition_equivalence():
                 seen_non += 1
                 assert violated, W
         assert seen_rcd and seen_non
+
+
+def test_verdicts_name_the_inhomogeneous_input():
+    # the signature run checks W-homogeneity, and only it; more inputs than
+    # variables are refused before that
+    R = ring((2, 1))
+    x, y = R.gens()
+    square = PolySystem(R, [x * y, x**2 + y**3 + y])
+    for verdict in (is_regular_sequence, is_noether_position, is_snp, is_semiregular, structure_report):
+        with pytest.raises(NotWHomogeneousError, match=r"^polynomial #2 is not weighted homogeneous$"):
+            verdict(square)
+    over = PolySystem(R, [*square.polys, x + y])
+    for verdict in (is_regular_sequence, is_noether_position, is_snp):
+        with pytest.raises(ArityError, match="is for m <= n systems"):
+            verdict(over)
 
 
 def test_regular_sequence_examples():
